@@ -186,11 +186,12 @@ let emit_event t source payload =
   let cycle = Vmm_sim.Engine.now (Machine.engine t.machine) in
   Recorder.emit (Machine.recorder t.machine) ~cycle ~source payload;
   Flight.note (Machine.flight t.machine) ~cycle ~kind:source
-    (Format.asprintf "%a" Event.pp_payload payload)
+    (Flight.Event payload)
 
 (* Deterministic monitor activity (trap reflection, emulated port I/O,
    decoded protocol frames) is not record/replay material but belongs in
-   the flight ring's last-moments view. *)
+   the flight ring's last-moments view.  The hot sites record typed
+   details; only rare notes arrive as [Flight.Text]. *)
 let flight_note t kind detail =
   Flight.note (Machine.flight t.machine)
     ~cycle:(Vmm_sim.Engine.now (Machine.engine t.machine))
@@ -270,21 +271,37 @@ let guest_write t ~addr ~data =
   in
   go 0
 
+(* Word access for the trap paths (gate reads, frame pushes and pops):
+   a word inside one page is translated once and moved with one
+   [Phys_mem] word access, which bumps the same granule generations the
+   byte path would.  A word straddling a page takes the byte path. *)
+let word_in_page vaddr = vaddr land 0xFFF <= Mmu.page_size - 4
+
 let guest_read_u32 t vaddr =
-  match guest_read t ~addr:vaddr ~len:4 with
-  | Some s ->
-    Some
-      (Char.code s.[0]
-      lor (Char.code s.[1] lsl 8)
-      lor (Char.code s.[2] lsl 16)
-      lor (Char.code s.[3] lsl 24))
-  | None -> None
+  if word_in_page vaddr then
+    match translate_guest t vaddr with
+    | Some paddr -> Some (Phys_mem.read_u32 (Machine.mem t.machine) paddr)
+    | None -> None
+  else
+    match guest_read t ~addr:vaddr ~len:4 with
+    | Some s ->
+      Some
+        (Char.code s.[0]
+        lor (Char.code s.[1] lsl 8)
+        lor (Char.code s.[2] lsl 16)
+        lor (Char.code s.[3] lsl 24))
+    | None -> None
 
 let guest_write_u32 t vaddr v =
-  let s =
-    String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF))
-  in
-  guest_write t ~addr:vaddr ~data:s
+  if word_in_page vaddr then
+    match translate_guest t vaddr with
+    | Some paddr ->
+      Phys_mem.write_u32 (Machine.mem t.machine) paddr v;
+      true
+    | None -> false
+  else
+    guest_write t ~addr:vaddr
+      ~data:(String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)))
 
 (* -- Guest-visible flags -- *)
 
@@ -346,7 +363,7 @@ let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
   span t "irq" "reflect" @@ fun () ->
   t.c_fault <- t.c_fault + 1;
   flight_note t "monitor.reflect"
-    (Printf.sprintf "vector=%d pc=0x%x depth=%d" vector return_pc depth);
+    (Flight.Reflect { vector; pc = return_pc; depth });
   (* [chain] records each delivery attempt (vector, pc), innermost last,
      so a crash report shows the whole nested-exception cascade. *)
   let chain = chain @ [ (vector, return_pc) ] in
@@ -435,9 +452,10 @@ let kick t =
               w.rw_witnessed <- w.rw_witnessed + 1;
               t.c_race_witnessed <- t.c_race_witnessed + 1;
               flight_note t "race.witness"
-                (Printf.sprintf
-                   "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x" vvector
-                   s.Races.load_pc s.Races.store_pc pc)
+                (Flight.Text
+                   (Printf.sprintf
+                      "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x"
+                      vvector s.Races.load_pc s.Races.store_pc pc))
             end)
           t.race_sites
       end;
@@ -582,7 +600,7 @@ let emulated_out t port value =
 let emulate_io t port pc =
   span t "mon_io" "emulate_io" @@ fun () ->
   t.c_io <- t.c_io + 1;
-  flight_note t "monitor.io" (Printf.sprintf "port=0x%x pc=0x%x" port pc);
+  flight_note t "monitor.io" (Flight.Io { port; pc });
   world_switch t;
   let next = (pc + Isa.width) land 0xFFFFFFFF in
   match Cpu.read_instr t.cpu pc with
@@ -712,7 +730,7 @@ let handle_vbp_fault t ~vaddr ~pc =
           end)
         t.race_sites;
       flight_note t "race.window"
-        (Printf.sprintf "rmw window opened at 0x%x" pc)
+        (Flight.Text (Printf.sprintf "rmw window opened at 0x%x" pc))
     end;
     t.c_vbp_steps <- t.c_vbp_steps + 1;
     unprotect_for_step t (vaddr land lnot 0xFFF)
@@ -1661,7 +1679,7 @@ let make_target t =
         charge t t.costs.Costs.port_io;
         Uart.io_write (Machine.uart t.machine) 0 byte);
     charge = (fun cycles -> with_cat t "stub" (fun () -> charge t cycles));
-    note_flight = (fun detail -> flight_note t "stub.cmd" detail);
+    note_flight = (fun detail -> flight_note t "stub.cmd" (Flight.Text detail));
     query_watchdog = (fun () -> watchdog_report t);
     query_verify = (fun () -> verify_report_text t);
     query_flight = (fun () -> flight_query t);

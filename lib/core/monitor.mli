@@ -99,6 +99,15 @@ val guest_read : t -> addr:int -> len:int -> string option
     privilege: ignores guest write protection). *)
 val guest_write : t -> addr:int -> data:string -> bool
 
+(** [guest_read_u32 t vaddr] reads one little-endian guest-virtual word,
+    as {!guest_read} of 4 bytes would; [None] when unmapped. *)
+val guest_read_u32 : t -> int -> int option
+
+(** [guest_write_u32 t vaddr v] writes one little-endian guest-virtual
+    word, as {!guest_write} of its 4 bytes would; [false] when
+    unmapped. *)
+val guest_write_u32 : t -> int -> int -> bool
+
 (** {2 Components} *)
 
 val stub : t -> Stub.t

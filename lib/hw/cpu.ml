@@ -1189,6 +1189,21 @@ let jit_gsum t ~ppc ~bytes =
   done;
   !sum
 
+(* Whether the instruction at [ppc] can head a block: a compilable
+   straight-line op or a compilable transfer.  Interpreter-only heads
+   ([OUT], [STI], [IRET], [HLT], ...) and undecodable slots are met on
+   every trap-heavy dispatch, so they are refused here, before
+   [compile_block] allocates its decode buffer. *)
+let jit_heads_block t ~ppc =
+  match Isa.read t.mem ppc with
+  | exception Isa.Decode_error _ -> false
+  | i ->
+    (match Isa.flow_of i with
+     | Isa.Fallthrough -> jit_compiles_mid i
+     | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect | Isa.Return ->
+       true
+     | Isa.Int_return | Isa.Terminal -> false)
+
 (* Compile the run starting at [vpc] (physically at [ppc], both inside
    one page — blocks never cross a page boundary, so virtual and
    physical offsets advance in lockstep).  Stops at the page end, the
@@ -1200,7 +1215,7 @@ let jit_gsum t ~ppc ~bytes =
    the same physical text — which is exactly what physical keying
    promises. *)
 let compile_block t ~vpc ~ppc : jblock option =
-  if t.jit_pin vpc then None
+  if t.jit_pin vpc || not (jit_heads_block t ~ppc) then None
   else begin
     let w = Isa.width in
     let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in

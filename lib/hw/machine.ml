@@ -72,13 +72,13 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
      ingress (UART bytes, NIC frames). *)
   let flight = Flight.create () in
   (* Every nondeterministic event also lands in the always-on flight
-     ring (one ring write plus rendering the short detail string), so a
-     crash dump shows the last moments even when nothing was recording. *)
+     ring (one ring write of the typed payload, rendered only when the
+     ring is read), so a crash dump shows the last moments even when
+     nothing was recording. *)
   let emit source payload =
     let cycle = Engine.now engine in
     Recorder.emit recorder ~cycle ~source payload;
-    Flight.note flight ~cycle ~kind:source
-      (Format.asprintf "%a" Vmm_replay.Event.pp_payload payload)
+    Flight.note flight ~cycle ~kind:source (Flight.Event payload)
   in
   let pic = Pic.create () in
   Pic.attach pic bus ~base:Ports.pic;

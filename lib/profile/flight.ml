@@ -1,31 +1,50 @@
+type detail =
+  | Event of Vmm_replay.Event.payload
+  | Reflect of { vector : int; pc : int; depth : int }
+  | Io of { port : int; pc : int }
+  | Text of string
+
 type entry = {
   cycle : int64;
   kind : string;
   detail : string;
 }
 
+type slot = {
+  s_cycle : int64;
+  s_kind : string;
+  s_detail : detail;
+}
+
 type t = {
-  ring : entry array;
+  ring : slot array;
   mutable next : int;
   mutable total : int;
 }
 
-let no_entry = { cycle = 0L; kind = ""; detail = "" }
+let no_slot = { s_cycle = 0L; s_kind = ""; s_detail = Text "" }
 let default_capacity = 512
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity < 1";
-  { ring = Array.make capacity no_entry; next = 0; total = 0 }
+  { ring = Array.make capacity no_slot; next = 0; total = 0 }
 
 let capacity t = Array.length t.ring
 
-(* Steady-state cost is exactly this: one record build, one array store,
-   two index updates.  No allocation beyond the entry itself, no I/O,
-   no formatting until a dump is requested. *)
+(* Steady-state cost is exactly this: one slot build, one array store,
+   two index updates.  The detail stays typed; no formatting happens
+   until a dump is requested. *)
 let note t ~cycle ~kind detail =
-  t.ring.(t.next) <- { cycle; kind; detail };
+  t.ring.(t.next) <- { s_cycle = cycle; s_kind = kind; s_detail = detail };
   t.next <- (t.next + 1) mod Array.length t.ring;
   t.total <- t.total + 1
+
+let render_detail = function
+  | Event p -> Format.asprintf "%a" Vmm_replay.Event.pp_payload p
+  | Reflect { vector; pc; depth } ->
+    Printf.sprintf "vector=%d pc=0x%x depth=%d" vector pc depth
+  | Io { port; pc } -> Printf.sprintf "port=0x%x pc=0x%x" port pc
+  | Text s -> s
 
 let total t = t.total
 let retained t = min t.total (Array.length t.ring)
@@ -34,10 +53,12 @@ let dropped t = t.total - retained t
 let entries t =
   let n = retained t in
   let cap = Array.length t.ring in
-  List.init n (fun i -> t.ring.((t.next - n + i + (2 * cap)) mod cap))
+  List.init n (fun i ->
+      let s = t.ring.((t.next - n + i + (2 * cap)) mod cap) in
+      { cycle = s.s_cycle; kind = s.s_kind; detail = render_detail s.s_detail })
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) no_entry;
+  Array.fill t.ring 0 (Array.length t.ring) no_slot;
   t.next <- 0;
   t.total <- 0
 

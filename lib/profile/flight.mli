@@ -3,14 +3,27 @@
     frames, watchdog/chaos verdicts — fed by the machine and the
     monitor.
 
-    In steady state a recorded event costs one ring write (no
-    allocation beyond the entry, no formatting, no I/O); the ring is
-    only rendered when a dump is requested — on crash/wedge into the
+    Events are typed when recorded and rendered only when read: a slot
+    keeps the cycle, the kind and a small {!detail} value, and a
+    recorded event costs one slot write (no formatting, no I/O).  Text
+    is produced only by {!entries} and {!dump} — on crash/wedge into the
     crash bundle, or over the debug link via [qR].  When the ring wraps,
     the oldest entries are overwritten and counted in {!dropped}: the
     ring always holds the {e last} [capacity] events before the dump,
     which is exactly the "last millisecond before it died" view. *)
 
+(** What an event says, kept unrendered until read. *)
+type detail =
+  | Event of Vmm_replay.Event.payload
+      (** a record/replay tap; renders as {!Vmm_replay.Event.pp_payload} *)
+  | Reflect of { vector : int; pc : int; depth : int }
+      (** a trap reflected into the guest; renders as
+          [vector=V pc=0xPC depth=D] *)
+  | Io of { port : int; pc : int }
+      (** an emulated port access; renders as [port=0xP pc=0xPC] *)
+  | Text of string  (** a rare, already-rendered note *)
+
+(** A retained event as read back, with its detail rendered. *)
 type entry = {
   cycle : int64;  (** engine time the event was recorded *)
   kind : string;  (** dot-separated source, e.g. [irq.deliver] *)
@@ -28,7 +41,7 @@ val capacity : t -> int
 
 (** [note t ~cycle ~kind detail] records one event, overwriting the
     oldest when full. *)
-val note : t -> cycle:int64 -> kind:string -> string -> unit
+val note : t -> cycle:int64 -> kind:string -> detail -> unit
 
 (** [total t] — events ever recorded. *)
 val total : t -> int
@@ -39,7 +52,7 @@ val retained : t -> int
 (** [dropped t] — events overwritten by wrap ([total - retained]). *)
 val dropped : t -> int
 
-(** [entries t] — retained entries, oldest first. *)
+(** [entries t] — retained entries, oldest first, rendered. *)
 val entries : t -> entry list
 
 val clear : t -> unit

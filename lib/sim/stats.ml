@@ -47,10 +47,20 @@ let set_category l cat =
 
 let category l = l.category
 
+(* Runs on every monitor trap, so no [Fun.protect] closure: the outer
+   category and its cached counter are put back directly on both exits. *)
 let with_category l cat f =
-  let prev = l.category in
+  let prev = l.category and prev_current = l.current in
   set_category l cat;
-  Fun.protect ~finally:(fun () -> set_category l prev) f
+  match f () with
+  | v ->
+    l.category <- prev;
+    l.current <- prev_current;
+    v
+  | exception e ->
+    l.category <- prev;
+    l.current <- prev_current;
+    raise e
 
 let busy_by_category l =
   Hashtbl.fold

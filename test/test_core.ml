@@ -245,6 +245,125 @@ let test_guest_paging_via_shadow () =
   check int "guest ptb tracked" pd (Monitor.guest_ptb mon);
   check bool "shadow populated" true (Shadow.mappings (Monitor.shadow mon) > 0)
 
+(* -- Word access to guest memory -- *)
+
+let le_word s =
+  Char.code s.[0]
+  lor (Char.code s.[1] lsl 8)
+  lor (Char.code s.[2] lsl 16)
+  lor (Char.code s.[3] lsl 24)
+
+let test_guest_word_access () =
+  (* Guest tables scatter two adjacent virtual pages over distant frames
+     and leave the next page unmapped, so a word at a page end needs two
+     translations. *)
+  let m, mon = fresh () in
+  let mem = Machine.mem m in
+  let pd = 0x100000 and pt = 0x101000 in
+  Phys_mem.write_u32 mem pd (Mmu.make_pte ~frame:pt ~writable:true ~user:false);
+  for i = 0 to 511 do
+    Phys_mem.write_u32 mem
+      (pt + (4 * i))
+      (Mmu.make_pte ~frame:(i * 4096) ~writable:true ~user:false)
+  done;
+  let map vpage pte = Phys_mem.write_u32 mem (pt + (4 * (vpage lsr 12))) pte in
+  map 0x9000 (Mmu.make_pte ~frame:0x30000 ~writable:true ~user:false);
+  map 0xA000 (Mmu.make_pte ~frame:0x50000 ~writable:true ~user:false);
+  map 0xB000 0;
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 1 (Asm.imm pd);
+  Asm.lptb a 1;
+  Asm.vmcall a (Asm.imm 2);
+  Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
+  run_seconds m 0.001;
+  check int "guest paging on" pd (Monitor.guest_ptb mon);
+  let word = Alcotest.(option int) in
+  (* inside one page: one translation, one word store, one generation
+     bump — the same bump a 4-byte [guest_write] makes *)
+  let g0 = Phys_mem.generation mem 0x30100 in
+  check bool "in-page write" true (Monitor.guest_write_u32 mon 0x9100 0xDEADBEEF);
+  check int "landed in the mapped frame" 0xDEADBEEF (Phys_mem.read_u32 mem 0x30100);
+  check int "one generation bump" (g0 + 1) (Phys_mem.generation mem 0x30100);
+  let g1 = Phys_mem.generation mem 0x30140 in
+  check bool "byte-path write" true (Monitor.guest_write mon ~addr:0x9140 ~data:"abcd");
+  check int "byte path bumps the same" (g1 + 1) (Phys_mem.generation mem 0x30140);
+  check word "in-page read" (Some 0xDEADBEEF) (Monitor.guest_read_u32 mon 0x9100);
+  (* straddling a page: both paths agree, and the bytes split across
+     the two frames *)
+  List.iter
+    (fun off ->
+      let vaddr = 0x9000 + off in
+      let v = 0x11223344 + off in
+      check bool "straddling write" true (Monitor.guest_write_u32 mon vaddr v);
+      check (Alcotest.option int) "byte path reads it back" (Some v)
+        (Option.map le_word (Monitor.guest_read mon ~addr:vaddr ~len:4));
+      check word "word path reads it back" (Some v) (Monitor.guest_read_u32 mon vaddr);
+      check int "low byte in the first frame" (v land 0xFF)
+        (Phys_mem.read_u8 mem (0x30000 + off));
+      check int "high byte in the second frame" ((v lsr 24) land 0xFF)
+        (Phys_mem.read_u8 mem (0x50000 + off + 3 - 0x1000));
+      check bool "byte-path write" true
+        (Monitor.guest_write mon ~addr:vaddr ~data:"\x01\x02\x03\x04");
+      check word "word path reads the byte path" (Some 0x04030201)
+        (Monitor.guest_read_u32 mon vaddr))
+    [ 0xFFD; 0xFFE; 0xFFF ];
+  (* unmapped, wholly or in part *)
+  check word "unmapped read" None (Monitor.guest_read_u32 mon 0xB010);
+  check bool "unmapped write" false (Monitor.guest_write_u32 mon 0xB010 1);
+  check word "straddle into unmapped read" None (Monitor.guest_read_u32 mon 0xAFFE);
+  check bool "straddle into unmapped write" false
+    (Monitor.guest_write_u32 mon 0xAFFE 1)
+
+(* A software interrupt reflected by the monitor pushes its frame with
+   word stores.  With the stack sharing a write granule with translated
+   code, that push must invalidate the block, and the code must still
+   run correctly; without the interrupt nothing invalidates. *)
+let reflected_frame_run ~soft_int =
+  let m, mon = fresh () in
+  let cpu = Machine.cpu m in
+  Cpu.set_jit_enabled cpu true;
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a Isa.sp (Asm.lbl "stack_top");
+  Asm.movi a 1 (Asm.lbl "iht");
+  Asm.liht a 1;
+  Asm.movi a 6 (Asm.lbl "back1");
+  Asm.jmp a (Asm.lbl "routine");
+  Asm.label a "back1";
+  if soft_int then Asm.int_ a 40 else Asm.nop a;
+  Asm.movi a 6 (Asm.lbl "back2");
+  Asm.jmp a (Asm.lbl "routine");
+  Asm.label a "back2";
+  Asm.vmcall a (Asm.imm 2);
+  Asm.label a "handler";
+  Asm.addi a 8 8 (Asm.imm 1);
+  Asm.iret a;
+  emit_iht a ~label:"iht" ~gates:[ (40, ("handler", 0, 0)) ];
+  (* routine and the top of the stack share one 64-byte granule *)
+  Asm.align a 64;
+  Asm.label a "routine";
+  Asm.addi a 7 7 (Asm.imm 1);
+  Asm.jr a 6;
+  Asm.space a 48;
+  Asm.label a "stack_top";
+  let p = Asm.assemble a in
+  Monitor.boot_guest mon p ~entry:0x1000;
+  run_seconds m 0.001;
+  check bool "completed" true (Monitor.shutdown_requested mon);
+  check int "routine ran twice" 2 (reg m 7);
+  (m, p)
+
+let test_reflected_frame_invalidates_block () =
+  let m, p = reflected_frame_run ~soft_int:true in
+  let cpu = Machine.cpu m in
+  check int "handler ran once" 1 (reg m 8);
+  check int "frame's return pc on the shared granule"
+    (Asm.symbol p "back1" + Isa.width)
+    (Phys_mem.read_u32 (Machine.mem m) (Asm.symbol p "stack_top" - 12));
+  check bool "frame push invalidated the routine's block" true
+    (Cpu.block_invalidations cpu > 0);
+  let m, _ = reflected_frame_run ~soft_int:false in
+  check int "no push, no invalidation" 0 (Cpu.block_invalidations (Machine.cpu m))
+
 let test_guest_mapping_monitor_frame_denied () =
   (* Guest page tables that point a virtual page at a monitor frame must
      not take effect. *)
@@ -681,6 +800,9 @@ let () =
             test_guest_page_fault_reflected;
           Alcotest.test_case "guest paging via shadow" `Quick
             test_guest_paging_via_shadow;
+          Alcotest.test_case "guest word access" `Quick test_guest_word_access;
+          Alcotest.test_case "reflected frame invalidates block" `Quick
+            test_reflected_frame_invalidates_block;
           Alcotest.test_case "evil mapping denied" `Quick
             test_guest_mapping_monitor_frame_denied;
           Alcotest.test_case "three-level protection" `Quick

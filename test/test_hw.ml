@@ -1473,6 +1473,39 @@ let test_jit_breakpoint_patch () =
   check bool "trap fell back to the interpreter" true
     (Cpu.block_fallbacks cpu > 0)
 
+let test_jit_interpreter_only_head () =
+  (* A pc on an interpreter-only instruction cannot head a block.  The
+     translator must refuse it every lap without compiling anything and
+     without building a decode buffer, then fall back to one interpreted
+     step. *)
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m in
+  Cpu.set_jit_enabled cpu true;
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 2 (Asm.imm 0);
+  Asm.label a "loop";
+  Asm.cli a (* interpreter-only head *);
+  Asm.addi a 2 2 (Asm.imm 1);
+  Asm.jmp a (Asm.lbl "loop");
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  Machine.run_for m ~cycles:20_000L (* compile the addi/jmp block *);
+  let compiled = Cpu.blocks_compiled cpu in
+  let fallbacks = Cpu.block_fallbacks cpu and laps = reg m 2 in
+  let w0 = Gc.minor_words () in
+  Machine.run_for m ~cycles:200_000L;
+  let words = Gc.minor_words () -. w0 in
+  let heads = Cpu.block_fallbacks cpu - fallbacks in
+  check int "refused heads compile nothing" compiled (Cpu.blocks_compiled cpu);
+  check bool "every lap met the cli head" true
+    (heads > 1000 && abs (heads - (reg m 2 - laps)) <= 1);
+  (* Measured at 51 words a lap: three instructions plus a trip through
+     the dispatcher.  A refusal that builds the decode buffer adds about
+     65 more. *)
+  let per_head = words /. float_of_int heads in
+  check bool
+    (Printf.sprintf "%.1f minor words per lap <= 70" per_head)
+    true (per_head <= 70.0)
+
 let test_jit_set_ptb_remap () =
   (* Same virtual pc, different physical frame after a PTB reload: the
      physically-keyed block cache must compile and run the new frame's
@@ -1633,6 +1666,8 @@ let () =
           Alcotest.test_case "breakpoint plant" `Quick
             test_jit_breakpoint_patch;
           Alcotest.test_case "set_ptb remap" `Quick test_jit_set_ptb_remap;
+          Alcotest.test_case "interpreter-only head" `Quick
+            test_jit_interpreter_only_head;
         ] );
       ( "properties",
         qsuite [ prop_mmu_probe_agrees_with_translate; prop_disassembly_roundtrip ] );

@@ -116,6 +116,30 @@ let test_measurement_window_excludes_warmup () =
   check bool "counters cumulative" true
     (m.Workload.counters.Kernel.frames_sent > m.Workload.frames)
 
+(* Allocation ceiling at the paper's operating point: the LW-VMM
+   streaming Fig 3.1's kernel at 170 Mbps, just below saturation, with
+   the translator on.  Minor words per retired instruction are a
+   deterministic count for a given build, so this gates host-side
+   allocation on the monitor's trap, emulation and flight-ring paths
+   without timing anything.  Measured at 22.7; the ceiling is never
+   raised to pass. *)
+let test_lw_alloc_ceiling () =
+  let config = Kernel.default_config ~rate_mbps:170.0 in
+  let ctx, _ = Workload.prepare Workload.Lightweight_vmm ~config in
+  let m = Workload.machine_of ctx in
+  let cpu = Machine.cpu m in
+  Vmm_hw.Cpu.set_jit_enabled cpu true;
+  Machine.run_seconds m 0.02 (* boot and reach steady streaming *);
+  let i0 = Vmm_hw.Cpu.instructions_retired cpu in
+  let w0 = Gc.minor_words () in
+  Machine.run_seconds m 0.05;
+  let words = Gc.minor_words () -. w0 in
+  let instrs = Int64.to_float (Int64.sub (Vmm_hw.Cpu.instructions_retired cpu) i0) in
+  let per_instr = words /. instrs in
+  check bool
+    (Printf.sprintf "%.2f minor words per instruction <= 30" per_instr)
+    true (per_instr <= 30.0)
+
 let () =
   Alcotest.run "integration"
     [
@@ -129,6 +153,8 @@ let () =
           Alcotest.test_case "monitor stats under workload" `Quick
             test_monitor_stats_under_workload;
           Alcotest.test_case "headline band" `Slow test_max_rate_band;
+          Alcotest.test_case "lw-vmm allocation ceiling" `Quick
+            test_lw_alloc_ceiling;
           Alcotest.test_case "measurement window" `Quick
             test_measurement_window_excludes_warmup;
         ] );

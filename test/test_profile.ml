@@ -186,7 +186,7 @@ let test_flight_ring_wrap () =
   check int "default capacity sane" 512 Flight.default_capacity;
   for i = 1 to 10 do
     Flight.note f ~cycle:(Int64.of_int (i * 100)) ~kind:"irq.deliver"
-      (Printf.sprintf "line=%d" i)
+      (Flight.Text (Printf.sprintf "line=%d" i))
   done;
   check int "total" 10 (Flight.total f);
   check int "retained" 4 (Flight.retained f);
@@ -203,14 +203,72 @@ let test_flight_ring_wrap () =
 
 let test_flight_dump_golden () =
   let f = Flight.create ~capacity:2 () in
-  Flight.note f ~cycle:100L ~kind:"trap.pf" "pc=0x1000";
-  Flight.note f ~cycle:250L ~kind:"io.out" "port=0x64 val=0xfe";
-  Flight.note f ~cycle:300L ~kind:"irq.deliver" "line=3";
+  Flight.note f ~cycle:100L ~kind:"trap.pf" (Flight.Text "pc=0x1000");
+  Flight.note f ~cycle:250L ~kind:"io.out" (Flight.Text "port=0x64 val=0xfe");
+  Flight.note f ~cycle:300L ~kind:"irq.deliver" (Flight.Text "line=3");
   check string "dump"
     "flight total=3 retained=2 dropped=1 capacity=2\n\
      @250 io.out: port=0x64 val=0xfe\n\
      @300 irq.deliver: line=3\n"
-    (Flight.dump f)
+    (Flight.dump f);
+  (* Every detail the hot path records is kept typed and rendered on
+     read; each must render exactly the text that was once formatted per
+     event: [Event.pp_payload] for replay taps and the monitor's own
+     [vector=… pc=… depth=…] / [port=… pc=…] notes. *)
+  let module E = Vmm_replay.Event in
+  let events =
+    [
+      ("monitor", E.Irq_inject { line = 4 }, "irq line=4");
+      ("pit", E.Timer_fire { count = 17 }, "timer count=17");
+      ("scsi.irq", E.Dma_complete { chan = "scsi"; seq = 9 }, "dma chan=scsi seq=9");
+      ("uart.rx", E.Uart_rx { byte = 0x2b }, "uart_rx byte=0x2b");
+      ("nic.rx", E.Nic_rx { len = 1514 }, "nic_rx len=1514");
+      ("chaos", E.Chaos E.Drop, "chaos drop");
+      ( "chaos",
+        E.Chaos (E.Deliver { mask = 0x10; dup = true; delay = 3 }),
+        "chaos deliver mask=0x10 dup=true delay=3" );
+      ("monitor", E.Wedge { pc = 0x40a8 }, "wedge pc=0x40a8");
+      ("monitor", E.Crash { vector = 13; pc = 0x5000 }, "crash vector=13 pc=0x5000");
+      ( "monitor",
+        E.Checkpoint { index = 2; retired = 123456789L },
+        "checkpoint index=2 retired=123456789" );
+      ("stub", E.Vbp_hit { pc = 0x1010 }, "vbp pc=0x1010");
+    ]
+  in
+  List.iter
+    (fun (_, p, want) ->
+      check string "pp_payload agrees" want (Format.asprintf "%a" E.pp_payload p))
+    events;
+  let cases =
+    List.map (fun (kind, p, want) -> (kind, Flight.Event p, want)) events
+    @ [
+        ( "monitor.reflect",
+          Flight.Reflect { vector = 32; pc = 0x1f4c; depth = 1 },
+          "vector=32 pc=0x1f4c depth=1" );
+        ( "monitor.io",
+          Flight.Io { port = 0x21; pc = 0x2a0 },
+          "port=0x21 pc=0x2a0" );
+        ("stub.cmd", Flight.Text "m1000,4", "m1000,4");
+      ]
+  in
+  let g = Flight.create ~capacity:(List.length cases) () in
+  List.iteri
+    (fun i (kind, d, _) -> Flight.note g ~cycle:(Int64.of_int (10 * i)) ~kind d)
+    cases;
+  List.iter2
+    (fun (kind, _, want) e ->
+      check string ("kind " ^ kind) kind e.Flight.kind;
+      check string ("rendered " ^ kind) want e.Flight.detail)
+    cases (Flight.entries g);
+  let want_dump =
+    Printf.sprintf "flight total=%d retained=%d dropped=0 capacity=%d\n"
+      (List.length cases) (List.length cases) (List.length cases)
+    ^ String.concat ""
+        (List.mapi
+           (fun i (kind, _, want) -> Printf.sprintf "@%d %s: %s\n" (10 * i) kind want)
+           cases)
+  in
+  check string "typed dump" want_dump (Flight.dump g)
 
 (* -- Crash bundles -- *)
 
