@@ -630,10 +630,7 @@ let emulate_io t port pc =
    one hash-length check, so the no-breakpoints hot path stays flat. *)
 let vbp_page_armed t addr =
   match t.stub with
-  | Some stub ->
-    let bps = Stub.breakpoints stub in
-    Breakpoints.mode bps = Breakpoints.Virtual
-    && Breakpoints.page_armed bps ~page:addr
+  | Some stub -> Breakpoints.page_armed (Stub.breakpoints stub) ~page:addr
   | None -> false
 
 let fill_shadow t ~vaddr ~frame ~writable ~user =
@@ -710,11 +707,11 @@ let handle_vbp_fault t ~vaddr ~pc =
     trace t Vmm_sim.Trace.Info
       (Printf.sprintf "virtual breakpoint hit at pc 0x%x" pc);
     emit_event t "monitor.vbp" (Event.Vbp_hit { pc });
-    (* Same stop the BRK trap would have produced: Break at the site's
-       pc, before the instruction executes — wire-identical to patch
-       mode.  (During an [rs] replay the stub grants itself a pass and
-       sets the trap flag instead of stopping; the retried fetch then
-       takes the step-through path below.) *)
+    (* Same stop a BRK trap would have produced: Break at the site's
+       pc, before the instruction executes.  (During an [rs] replay the
+       stub grants itself a pass and sets the trap flag instead of
+       stopping; the retried fetch then takes the step-through path
+       below.) *)
     Stub.on_breakpoint stub ~pc
   end
   else begin
@@ -1242,21 +1239,9 @@ let register_metrics t =
   let vbps f =
     match t.stub with Some stub -> f (Stub.breakpoints stub) | None -> 0
   in
-  g "bp_virtual_mode" (fun () ->
-      vbps (fun bps ->
-          match Breakpoints.mode bps with
-          | Breakpoints.Virtual -> 1
-          | Breakpoints.Patch -> 0));
-  g "bp_virtual_armed_sites" (fun () ->
-      vbps (fun bps ->
-          if Breakpoints.mode bps = Breakpoints.Virtual then
-            Breakpoints.count bps
-          else 0));
+  g "bp_virtual_armed_sites" (fun () -> vbps Breakpoints.count);
   g "bp_virtual_armed_pages" (fun () ->
-      vbps (fun bps ->
-          if Breakpoints.mode bps = Breakpoints.Virtual then
-            List.length (Breakpoints.armed_pages bps)
-          else 0));
+      vbps (fun bps -> List.length (Breakpoints.armed_pages bps)));
   g "bp_virtual_exec_faults_total" (fun () -> t.c_vbp_faults);
   g "bp_virtual_hits_total" (fun () -> t.c_vbp_hits);
   g "bp_virtual_step_throughs_total" (fun () -> t.c_vbp_steps)
@@ -1309,8 +1294,8 @@ let restart_guest t =
     (* Pre-restart checkpoints describe a dead history line. *)
     t.checkpoints <- [];
     (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
-    (* The restore overwrote planted BRK bytes with boot-image bytes;
-       the stub re-plants its breakpoints and forgets any stop state. *)
+    (* The stub forgets any stop state; its breakpoints stay armed, since
+       the cleared shadow re-arms their pages lazily. *)
     Stub.note_restart (get_stub t);
     (* Re-register every gauge so a restarted world never serves metric
        reads through callbacks registered against superseded state. *)
@@ -1564,10 +1549,10 @@ let vbp_sync_page t addr =
 (* -- Race-witness arming --
 
    Observe-only virtual breakpoints on a sample of the statically
-   reported race sites.  Virtual mode only: arming is a shadow-unmap
-   (the page re-fills NX), so nothing touches guest text and the replay
-   stream is unchanged — witnessing writes to the flight ring, never to
-   the recorder. *)
+   reported race sites.  Arming is a shadow-unmap (the page re-fills
+   NX), so nothing touches guest text and the replay stream is
+   unchanged — witnessing writes to the flight ring, never to the
+   recorder. *)
 
 let race_sample_cap = 8
 
@@ -1587,8 +1572,7 @@ let arm_race_sites t =
   disarm_race_sites t;
   if t.race_witness then
     match (t.stub, t.last_verify) with
-    | Some stub, Some r
-      when Breakpoints.mode (Stub.breakpoints stub) = Breakpoints.Virtual ->
+    | Some stub, Some r ->
       let sample = take race_sample_cap r.Verifier.race_sites in
       t.race_sites <-
         Array.of_list
@@ -1718,8 +1702,7 @@ let make_target t =
        mapping (and with the TLB flush, every compiled block touching
        it) so the next fetch refills with NX recomputed from the live
        table. *)
-    vbp_arm = (fun ~page -> vbp_sync_page t page);
-    vbp_disarm = (fun ~page -> vbp_sync_page t page);
+    vbp_resync = (fun ~page -> vbp_sync_page t page);
     vbp_pass = (fun ~pc -> t.vbp_pass <- Some pc);
   }
 
@@ -1806,22 +1789,6 @@ let install ?(passthrough = default_passthrough) machine =
            }
          ~target:(make_target t) ~dispatch_cost:costs.Costs.stub_dispatch
          ~engine:(Machine.engine machine) ());
-  (* A planted breakpoint must head its own translated block: the BRK
-     patch itself already invalidates the compiled text (write
-     generations), but pinning keeps the translator from re-compiling a
-     run that would bury the trap site mid-block.  The predicate reads
-     the live table, so it tracks Z0/z0 traffic with no further hooks.
-     Patch mode only: virtual breakpoints never appear in guest text —
-     the armed page is NX in the shadow, and since every block dispatch
-     performs a real exec translation, a compiled run reaching the page
-     faults at the exact boundary pc with no per-site pinning. *)
-  Cpu.set_jit_pin cpu (fun pc ->
-      match t.stub with
-      | Some stub ->
-        let bps = Stub.breakpoints stub in
-        Breakpoints.mode bps = Breakpoints.Patch
-        && Breakpoints.mem bps ~addr:pc
-      | None -> false);
   register_metrics t;
   (* Open direct device access; everything else traps. *)
   List.iter

@@ -202,8 +202,8 @@ val watchdog_report : t -> string
 
 (** [restart_guest t] reloads the boot snapshot and reboots the guest
     without touching the stub, the reliable link or the watchpoint
-    table; planted breakpoints are re-applied over the restored image.
-    False when no guest was ever booted. *)
+    table; armed breakpoints stay armed over the restored image.  False
+    when no guest was ever booted. *)
 val restart_guest : t -> bool
 
 (** [snapshot t] — the boot snapshot captured by {!boot_guest}. *)
@@ -288,8 +288,7 @@ val verify_report_text : t -> string
     upgrades the site to "witnessed" ([race.witness] flight note, [qV]
     trailer, [static-races] crash-bundle section).  Observation is
     flight-ring only — the record/replay event stream and golden digests
-    are unchanged — and requires virtual breakpoint mode (a no-op under
-    [Patch]). *)
+    are unchanged. *)
 
 (** [set_race_witness t flag] — arm (sampling the latest report) or
     disarm.  Sites re-sample automatically on the next boot. *)

@@ -5,14 +5,11 @@
     through a narrow {!target} interface: registers, memory, stop/resume
     and the single-step flag.
 
-    Breakpoints come in two modes (see {!Breakpoints.mode}, selected by
-    [LWVMM_BP]).  Patch mode plants BRK over the guest's instruction and
-    remembers the original bytes; the stub makes the patch invisible to
-    host memory reads and steps across it on continue.  Virtual mode
-    (default) never mutates guest memory: armed pages are mapped
-    no-execute in the shadow tables and the monitor fields the exec
-    faults, so the wire semantics ([Z0]/[z0]/[T] stops) are identical
-    while the guest can neither observe nor corrupt its breakpoints. *)
+    Breakpoints are page-permission virtual breakpoints: the stub never
+    mutates guest memory.  Armed pages are mapped no-execute in the
+    shadow tables and the monitor fields the exec faults, so the guest
+    can neither observe nor corrupt its breakpoints, and host [m]/[M]
+    traffic goes straight through to guest memory. *)
 
 (** What the stub needs from the monitor/machine. *)
 type target = {
@@ -63,14 +60,11 @@ type target = {
   set_replay_mute : bool -> unit;
       (** mute the machine recorder while re-executing replayed history
           so it is not logged twice *)
-  vbp_arm : page:int -> unit;
-      (** a virtual breakpoint was armed at this address: drop the
-          page's shadow mapping so the next fetch refills no-execute
-          (the NX decision is recomputed from the table at fill time) *)
-  vbp_disarm : page:int -> unit;
-      (** a virtual breakpoint was removed at this address: resync the
-          page's shadow mapping the same way — the refill re-arms only
-          if other sites remain on the page *)
+  vbp_resync : page:int -> unit;
+      (** a breakpoint was armed or removed at this address: drop the
+          page's shadow mapping so the next fetch refills it, no-execute
+          exactly when some site remains on the page (the NX decision is
+          recomputed from the table at fill time) *)
   vbp_pass : pc:int -> unit;
       (** grant a one-shot pass: the next exec fault landing exactly on
           [pc] is stepped through instead of reported, so resuming off a
@@ -96,9 +90,9 @@ val create :
 (** [on_rx_byte t byte] — a byte arrived on the debug link. *)
 val on_rx_byte : t -> int -> unit
 
-(** [on_breakpoint t ~pc] — the guest executed BRK (patch mode / guest's
-    own trap) or a virtual-breakpoint exec fault matched an armed site;
-    either way the stop reports [Break pc] identically on the wire. *)
+(** [on_breakpoint t ~pc] — a virtual-breakpoint exec fault matched an
+    armed site, or the guest executed its own BRK; either way the stop
+    reports [Break pc] on the wire. *)
 val on_breakpoint : t -> pc:int -> unit
 
 (** [on_step_trap t ~pc] — the guest retired a single-stepped
@@ -123,9 +117,9 @@ val on_wedge : t -> pc:int -> unit
     [pc] and un-mutes the recorder. *)
 val on_retire_stop : t -> pc:int -> unit
 
-(** [note_restart t] — the monitor completed a warm restart: re-plant
-    breakpoints over the restored image and return to [Running].  Called
-    from inside {!target.restart}; the link state is untouched. *)
+(** [note_restart t] — the monitor completed a warm restart: return to
+    [Running] with every breakpoint still armed.  Called from inside
+    {!target.restart}; the link state is untouched. *)
 val note_restart : t -> unit
 
 (** {2 State} *)

@@ -93,9 +93,6 @@ type t = {
      entry, so the per-op continuation guard is one int compare. *)
   jcache : jblock option array;
   mutable jit_enabled : bool;
-  mutable jit_pin : int -> bool;
-      (* virtual pcs that must start their own block (planted traps);
-         installed by the monitor from the debug stub's breakpoint table *)
   mutable jit_cyc : int;
   mutable jit_ret : int;
   mutable jit_limit : int;
@@ -174,7 +171,6 @@ let create ~mem ~bus ~engine ~costs ~load () =
     ic_inval = 0;
     jcache = Array.make jcache_slots None;
     jit_enabled = true;
-    jit_pin = (fun _ -> false);
     jit_cyc = 0;
     jit_ret = 0;
     jit_limit = 0;
@@ -840,9 +836,9 @@ let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
   Phys_mem.write_u8 t.mem p v;
   p >= bppc && p < bppc + bbytes
 
-(* Chain terminator for blocks that end at a page boundary, a pinned
-   site, or an interpreter-only instruction: pc already points at the
-   next instruction, so the dispatcher takes over. *)
+(* Chain terminator for blocks that end at a page boundary or an
+   interpreter-only instruction: pc already points at the next
+   instruction, so the dispatcher takes over. *)
 let jit_block_end (_ : t) = ()
 
 (* Mid-block instruction set.  Every constructor accepted here has a
@@ -1207,15 +1203,13 @@ let jit_heads_block t ~ppc =
 (* Compile the run starting at [vpc] (physically at [ppc], both inside
    one page — blocks never cross a page boundary, so virtual and
    physical offsets advance in lockstep).  Stops at the page end, the
-   length cap, an interpreter-only instruction, an undecodable slot, or
-   a pinned pc (planted breakpoint sites must head their own block so
-   the trap fires before any compiled op runs).  Ops are chained back to
-   front; pc updates inside ops are pc-relative (or absolute targets
-   from the encoding), so a block is reusable across virtual mappings of
-   the same physical text — which is exactly what physical keying
-   promises. *)
+   length cap, an interpreter-only instruction or an undecodable slot.
+   Ops are chained back to front; pc updates inside ops are pc-relative
+   (or absolute targets from the encoding), so a block is reusable
+   across virtual mappings of the same physical text — which is exactly
+   what physical keying promises. *)
 let compile_block t ~vpc ~ppc : jblock option =
-  if t.jit_pin vpc || not (jit_heads_block t ~ppc) then None
+  if not (jit_heads_block t ~ppc) then None
   else begin
     let w = Isa.width in
     let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
@@ -1226,23 +1220,20 @@ let compile_block t ~vpc ~ppc : jblock option =
     let final = ref None in
     let stop = ref false in
     while (not !stop) && Option.is_none !final && !n_mid < room do
-      let off = !n_mid * w in
-      if !n_mid > 0 && t.jit_pin (vpc + off) then stop := true
-      else
-        match Isa.read t.mem (ppc + off) with
-        | exception Isa.Decode_error _ -> stop := true
-        | i ->
-          (match Isa.flow_of i with
-           | Isa.Fallthrough ->
-             if jit_compiles_mid i then begin
-               mids.(!n_mid) <- i;
-               incr n_mid
-             end
-             else stop := true
-           | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
-           | Isa.Return ->
-             final := Some i
-           | Isa.Int_return | Isa.Terminal -> stop := true)
+      match Isa.read t.mem (ppc + (!n_mid * w)) with
+      | exception Isa.Decode_error _ -> stop := true
+      | i ->
+        (match Isa.flow_of i with
+         | Isa.Fallthrough ->
+           if jit_compiles_mid i then begin
+             mids.(!n_mid) <- i;
+             incr n_mid
+           end
+           else stop := true
+         | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
+         | Isa.Return ->
+           final := Some i
+         | Isa.Int_return | Isa.Terminal -> stop := true)
     done;
     let tail, n_final =
       match !final with
@@ -1354,7 +1345,7 @@ let step t =
    the cache, chaining across taken transfers while the cycle budget
    [limit] holds, and falling back to one interpreter [step] whenever the
    pc cannot head a block (straddling fetch, out-of-RAM text,
-   interpreter-only instruction, pinned site).  At least one instruction
+   interpreter-only instruction).  At least one instruction
    always retires.  See the invariant comment at the translator above
    for why this is bit-identical to stepping. *)
 let jit_run t ~limit =
@@ -1394,8 +1385,8 @@ let jit_run t ~limit =
          else
            match jit_block_at t ~ppc with
            | None ->
-             (* Interpreter-only instruction at pc (or pinned site); as
-                above, [step] refetches through the now-warm TLB. *)
+             (* Interpreter-only instruction at pc; as above, [step]
+                refetches through the now-warm TLB. *)
              jit_flush t;
              t.jb_fallbacks <- t.jb_fallbacks + 1;
              step t;
@@ -1507,14 +1498,6 @@ let icache_invalidations t = t.ic_inval
 
 let jit_enabled t = t.jit_enabled
 let set_jit_enabled t v = t.jit_enabled <- v
-
-let set_jit_pin t pin =
-  t.jit_pin <- pin;
-  (* Pin-set changes that do not rewrite guest text (the stub's do) would
-     otherwise leave stale blocks spanning a newly pinned site; the O(1)
-     flush-stamp bump forces every block through recompilation, where the
-     new predicate is consulted. *)
-  t.icache_gen <- t.icache_gen + 1
 
 let blocks_compiled t = t.jb_compiled
 let block_hits t = t.jb_hits

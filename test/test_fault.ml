@@ -315,7 +315,7 @@ let test_warm_restart_preserves_session () =
     (Session.read_registers session <> None);
   check int "no link resets" 0
     (Session.link_stats session).Vmm_proto.Reliable.link_resets;
-  (* The planted breakpoint was re-applied over the restored image. *)
+  (* The armed breakpoint still fires over the restored image. *)
   (match Session.wait_stop ~timeout_s:1.0 session with
    | Some (Command.Break a) -> check int "hit again on fresh boot" target a
    | _ -> Alcotest.fail "breakpoint should survive the restart");

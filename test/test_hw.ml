@@ -1173,8 +1173,9 @@ let test_icache_self_modifying () =
   check bool "straight-line refetches hit" true (Cpu.icache_hits cpu > 0)
 
 let test_icache_breakpoint_patch () =
-  (* Host-side text patching — exactly what the debug stub's breakpoint
-     plant/remove does — must invalidate the cached decode both ways. *)
+  (* Host-side text patching — a BRK planted and removed by a debugger
+     that writes guest text — must invalidate the cached decode both
+     ways. *)
   let m = fresh_machine () in
   let mem = Machine.mem m and cpu = Machine.cpu m in
   let a = Asm.create ~origin:0x1000 () in
@@ -1440,9 +1441,9 @@ let test_jit_dma_invalidation () =
   check int "program unperturbed" 1 (reg m 1)
 
 let test_jit_breakpoint_patch () =
-  (* A BRK planted into an already-compiled block (the debug stub's
-     plant idiom) must invalidate the block and fire on the next pass —
-     never stay buried under stale threaded code. *)
+  (* A BRK planted into an already-compiled block (a text-patching
+     debugger's idiom) must invalidate the block and fire on the next
+     pass — never stay buried under stale threaded code. *)
   let m = fresh_machine () in
   let mem = Machine.mem m and cpu = Machine.cpu m in
   let a = Asm.create ~origin:0x1000 () in

@@ -4,9 +4,8 @@
    pristine text under a self-checksumming guest, self-modifying stores
    that neither corrupt the program nor disarm the site, exact-boundary
    faults out of chained superblocks, survival across warm restart, and
-   bit-exact record/replay of break-ins — plus the dual-mode table API
-   itself.  Mode is forced per test via LWVMM_BP so the suite means the
-   same thing no matter which mode the surrounding CI matrix selects. *)
+   bit-exact record/replay of break-ins — plus the table's per-page
+   accounting itself. *)
 
 module Machine = Vmm_hw.Machine
 module Cpu = Vmm_hw.Cpu
@@ -31,22 +30,17 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let test_costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 }
 
-(* [Breakpoints.create] reads LWVMM_BP; pin it per test so assertions
-   about a specific mode hold regardless of the environment. *)
-let with_mode mode f =
-  let prev = Sys.getenv_opt "LWVMM_BP" in
-  Unix.putenv "LWVMM_BP" mode;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "LWVMM_BP" (Option.value prev ~default:"virtual"))
-    f
-
 let fresh () =
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
   let mon = Monitor.install m in
   (m, mon)
 
 let reg m r = Cpu.read_reg (Machine.cpu m) r
+
+let gauge m name =
+  match List.assoc_opt name (Registry.snapshot (Machine.registry m)) with
+  | Some (Registry.Gauge v) -> int_of_float v
+  | _ -> Alcotest.failf "missing gauge %s" name
 
 (* -- Wire-level host (same harness as test_core) -- *)
 
@@ -91,35 +85,28 @@ let expect_break m host what =
   | Some (Command.Stopped (Command.Break addr)) -> addr
   | _ -> Alcotest.failf "expected break notification (%s)" what
 
-(* -- Dual-mode table API -- *)
+(* -- Table: per-page armed-site accounting -- *)
 
-let test_table_dual_mode () =
-  with_mode "virtual" @@ fun () ->
-  check bool "env selects virtual" true
-    (Breakpoints.mode_of_env () = Breakpoints.Virtual);
+let test_table_page_accounting () =
   let b = Breakpoints.create () in
-  check bool "default mode from env" true
-    (Breakpoints.mode b = Breakpoints.Virtual);
-  let p = Breakpoints.create ~mode:Breakpoints.Patch () in
-  check bool "explicit mode wins" true (Breakpoints.mode p = Breakpoints.Patch);
-  (* page accounting: two sites on one page, one on another *)
-  check bool "add a" true (Breakpoints.add b ~addr:0x1010 ~saved:"");
-  check bool "add b" true (Breakpoints.add b ~addr:0x1ff8 ~saved:"");
-  check bool "add c" true (Breakpoints.add b ~addr:0x3000 ~saved:"");
+  (* two sites on one page, one on another *)
+  check bool "add a" true (Breakpoints.add b ~addr:0x1010);
+  check bool "add b" true (Breakpoints.add b ~addr:0x1ff8);
+  check bool "add c" true (Breakpoints.add b ~addr:0x3000);
+  check bool "re-add is refused" false (Breakpoints.add b ~addr:0x3000);
   check bool "page armed" true (Breakpoints.page_armed b ~page:0x1234);
   check bool "other page" false (Breakpoints.page_armed b ~page:0x2000);
   check (Alcotest.list int) "armed pages sorted" [ 0x1000; 0x3000 ]
     (Breakpoints.armed_pages b);
   (* removing one of two sites keeps the page armed *)
-  ignore (Breakpoints.remove b ~addr:0x1010);
+  check bool "remove a" true (Breakpoints.remove b ~addr:0x1010);
   check bool "still armed" true (Breakpoints.page_armed b ~page:0x1000);
-  ignore (Breakpoints.remove b ~addr:0x1ff8);
+  check bool "remove b" true (Breakpoints.remove b ~addr:0x1ff8);
   check bool "page released" false (Breakpoints.page_armed b ~page:0x1000);
-  ignore (Breakpoints.clear b);
-  check (Alcotest.list int) "clear drops pages" [] (Breakpoints.armed_pages b);
-  check bool "patch env" true
-    (with_mode "patch" (fun () ->
-         Breakpoints.mode_of_env () = Breakpoints.Patch))
+  check bool "remove absent" false (Breakpoints.remove b ~addr:0x1ff8);
+  check (Alcotest.list int) "clear returns sites" [ 0x3000 ]
+    (Breakpoints.clear b);
+  check (Alcotest.list int) "clear drops pages" [] (Breakpoints.armed_pages b)
 
 (* -- Self-checksumming guest: armed text reads pristine -- *)
 
@@ -140,11 +127,12 @@ let checksum_guest () =
   Asm.nop a;
   Asm.assemble a
 
-let run_checksum mode ~armed =
-  with_mode mode @@ fun () ->
+let run_checksum ?(brk = false) ~armed () =
   let m, mon = fresh () in
   let p = checksum_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
+  (* a BRK written over the site: what a text-patching debugger plants *)
+  if brk then Isa.write (Machine.mem m) (Asm.symbol p "deadcode") Isa.Brk;
   if armed then begin
     let host = attach_host m in
     Machine.run_seconds m 0.002;
@@ -156,13 +144,13 @@ let run_checksum mode ~armed =
   reg m 3
 
 let test_self_checksumming_guest () =
-  let baseline = run_checksum "virtual" ~armed:false in
+  let baseline = run_checksum ~armed:false () in
   check bool "virtual arm is invisible to csum" true
-    (run_checksum "virtual" ~armed:true = baseline);
-  (* the contrast that motivates the design: a patch-mode plant changes
-     the bytes the guest can see *)
-  check bool "patch plant perturbs csum" true
-    (run_checksum "patch" ~armed:true <> baseline)
+    (run_checksum ~armed:true () = baseline);
+  (* the contrast that motivates the design: a planted BRK changes the
+     bytes the guest can see *)
+  check bool "BRK plant perturbs csum" true
+    (run_checksum ~brk:true ~armed:false () <> baseline)
 
 (* -- Self-modifying guest: stores neither corrupt nor disarm -- *)
 
@@ -171,7 +159,6 @@ let test_self_checksumming_guest () =
    collide with), the next hit must still report, and resuming must
    execute the guest's new instruction. *)
 let test_self_modifying_armed_site () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   let enc = Isa.encode (Isa.Movi (1, 99)) in
   let word off =
@@ -225,10 +212,57 @@ let test_self_modifying_armed_site () =
   Machine.run_seconds m 0.02;
   check int "guest's new instruction executed" 99 (reg m 1)
 
+(* -- Host write over an armed site: lands, and the site stays armed -- *)
+
+(* The host rewrites an armed instruction with [M] while the guest spins
+   on the same page.  The write goes straight to guest memory, [m] reads
+   the new bytes back, the site stays armed, the guest's next fetch of it
+   reports the break, and resuming executes the host's instruction. *)
+let test_host_write_over_armed_site () =
+  let m, mon = fresh () in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a Isa.sp (Asm.imm 0x20000);
+  (* wait for the host's go signal at 0x18000 *)
+  Asm.movi a 4 (Asm.imm 0x18000);
+  Asm.label a "wait";
+  Asm.ld a 5 4 0;
+  Asm.cmpi a 5 (Asm.imm 1);
+  Asm.jnz a (Asm.lbl "wait");
+  Asm.label a "site";
+  Asm.movi a 1 (Asm.imm 1);
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  let p = Asm.assemble a in
+  Monitor.boot_guest mon p ~entry:0x1000;
+  let host = attach_host m in
+  Machine.run_seconds m 0.002;
+  let site = Asm.symbol p "site" in
+  send_command host (Command.Insert_breakpoint site);
+  expect_ok m host "Z0";
+  let data = Bytes.to_string (Isa.encode (Isa.Movi (1, 99))) in
+  send_command host (Command.Write_memory { addr = site; data });
+  expect_ok m host "M over the site";
+  send_command host (Command.Read_memory { addr = site; len = Isa.width });
+  (match next_reply m host with
+   | Some (Command.Memory back) ->
+     check Alcotest.string "m reads the write" data back
+   | _ -> Alcotest.fail "expected memory");
+  check bool "site still in the table" true
+    (Breakpoints.mem (Stub.breakpoints (Monitor.stub mon)) ~addr:site);
+  check int "one armed site" 1 (gauge m "bp_virtual_armed_sites");
+  (* release the guest: its next fetch of the site reports the hit *)
+  send_command host
+    (Command.Write_memory { addr = 0x18000; data = "\x01\x00\x00\x00" });
+  expect_ok m host "go";
+  check int "hit at the rewritten site" site (expect_break m host "hit");
+  send_command host Command.Continue;
+  expect_ok m host "continue";
+  Machine.run_seconds m 0.02;
+  check int "host's instruction executed" 99 (reg m 1)
+
 (* -- JIT: a chained superblock faults at the exact boundary pc -- *)
 
 let test_superblock_nx_boundary () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   Cpu.set_jit_enabled (Machine.cpu m) true;
   (* hot loop on page 0x1000 chaining into page 0x2000 and back *)
@@ -268,7 +302,6 @@ let test_superblock_nx_boundary () =
 (* -- Warm restart: armed virtual breakpoints survive R -- *)
 
 let test_warm_restart_keeps_vbps () =
-  with_mode "virtual" @@ fun () ->
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
   let mon = Monitor.install m in
   let program = Kernel.build (Kernel.default_config ~rate_mbps:20.0) in
@@ -301,7 +334,6 @@ let test_warm_restart_keeps_vbps () =
    converge on the identical final-state digest with zero divergence,
    and the trace must carry the Vbp_hit events. *)
 let vbp_campaign ?replay () =
-  with_mode "virtual" @@ fun () ->
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
   let recorder = Machine.recorder m in
   (match replay with
@@ -353,7 +385,6 @@ let test_record_replay_vbp_hits () =
 (* -- Metrics: the bp_virtual_* gauges are live -- *)
 
 let test_vbp_metrics () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   let p = checksum_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
@@ -362,13 +393,7 @@ let test_vbp_metrics () =
   send_command host (Command.Insert_breakpoint (Asm.symbol p "deadcode"));
   expect_ok m host "Z0";
   Machine.run_seconds m 0.02 (* step-throughs accumulate *);
-  let snap = Registry.snapshot (Machine.registry m) in
-  let gauge name =
-    match List.assoc_opt name snap with
-    | Some (Registry.Gauge v) -> int_of_float v
-    | _ -> Alcotest.failf "missing gauge %s" name
-  in
-  check int "mode gauge says virtual" 1 (gauge "bp_virtual_mode");
+  let gauge = gauge m in
   check int "one armed site" 1 (gauge "bp_virtual_armed_sites");
   check int "one armed page" 1 (gauge "bp_virtual_armed_pages");
   check bool "exec faults counted" true (gauge "bp_virtual_exec_faults_total" > 0);
@@ -380,13 +405,18 @@ let () =
   Alcotest.run "vmm_vbp"
     [
       ( "table",
-        [ Alcotest.test_case "dual-mode API" `Quick test_table_dual_mode ] );
+        [
+          Alcotest.test_case "page accounting" `Quick
+            test_table_page_accounting;
+        ] );
       ( "integrity",
         [
           Alcotest.test_case "self-checksumming guest" `Quick
             test_self_checksumming_guest;
           Alcotest.test_case "self-modifying armed site" `Quick
             test_self_modifying_armed_site;
+          Alcotest.test_case "host write over armed site" `Quick
+            test_host_write_over_armed_site;
         ] );
       ( "jit",
         [
