@@ -1586,12 +1586,10 @@ let micro () =
            let q = Vmm_sim.Event_queue.create () in
            for i = 1 to 100 do
              ignore
-               (Vmm_sim.Event_queue.add q
-                  ~time:(Int64.of_int (i * 37 mod 100))
-                  i)
+               (Vmm_sim.Event_queue.add q ~time:(i * 37 mod 100) i)
            done;
-           while Vmm_sim.Event_queue.pop q <> None do
-             ()
+           while not (Vmm_sim.Event_queue.is_empty q) do
+             ignore (Vmm_sim.Event_queue.pop q)
            done))
   in
   let kernel_build =

@@ -183,7 +183,7 @@ let trace t severity message =
    always-on flight ring, so a crash bundle shows them even when nothing
    was recording. *)
 let emit_event t source payload =
-  let cycle = Vmm_sim.Engine.now (Machine.engine t.machine) in
+  let cycle = Vmm_sim.Engine.now_int (Machine.engine t.machine) in
   Recorder.emit (Machine.recorder t.machine) ~cycle ~source payload;
   Flight.note (Machine.flight t.machine) ~cycle ~kind:source
     (Flight.Event payload)
@@ -194,7 +194,7 @@ let emit_event t source payload =
    details; only rare notes arrive as [Flight.Text]. *)
 let flight_note t kind detail =
   Flight.note (Machine.flight t.machine)
-    ~cycle:(Vmm_sim.Engine.now (Machine.engine t.machine))
+    ~cycle:(Vmm_sim.Engine.now_int (Machine.engine t.machine))
     ~kind detail
 
 let world_switch t =
@@ -208,13 +208,12 @@ let world_switch t =
    construction.  When the machine tracer is enabled the same scope also
    appears as a Perfetto span. *)
 let span t cat name f =
-  let body () =
-    Vmm_sim.Stats.with_category (Machine.load t.machine) cat f
-  in
+  let load = Machine.load t.machine in
   let tracer = Machine.tracer t.machine in
   if Vmm_obs.Tracer.enabled tracer then
-    Vmm_obs.Tracer.with_span tracer ~cat name body
-  else body ()
+    Vmm_obs.Tracer.with_span tracer ~cat name (fun () ->
+        Vmm_sim.Stats.with_category load cat f)
+  else Vmm_sim.Stats.with_category load cat f
 
 (* Category only, no span: for closures fired on every stub byte, where
    a trace event apiece would drown the timeline. *)
@@ -223,18 +222,20 @@ let with_cat t cat f =
 
 (* -- Guest-virtual memory access through the guest's own tables -- *)
 
+(* Guest-virtual to physical through the guest's own tables; -1 when
+   unmapped or outside the guest's memory (no physical address is
+   negative, and no [option] is allocated on the trap paths). *)
 let translate_guest t vaddr =
   let vaddr = vaddr land 0xFFFFFFFF in
   if t.v_ptb = 0 then
-    if Vm_layout.guest_owns t.layout vaddr then Some vaddr else None
+    if Vm_layout.guest_owns t.layout vaddr then vaddr else -1
   else
     match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb vaddr with
     | Some pte ->
       let frame = Mmu.frame_of pte in
-      if Vm_layout.guest_owns t.layout frame then
-        Some (frame lor (vaddr land 0xFFF))
-      else None
-    | None -> None
+      if Vm_layout.guest_owns t.layout frame then frame lor (vaddr land 0xFFF)
+      else -1
+    | None -> -1
 
 let guest_read t ~addr ~len =
   if len < 0 then None
@@ -245,12 +246,13 @@ let guest_read t ~addr ~len =
       else
         let vaddr = addr + pos in
         let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
-        match translate_guest t vaddr with
-        | Some paddr ->
+        let paddr = translate_guest t vaddr in
+        if paddr < 0 then None
+        else begin
           Phys_mem.blit_to_bytes (Machine.mem t.machine) ~addr:paddr buf
             ~off:pos ~len:room;
           go (pos + room)
-        | None -> None
+        end
     in
     go 0
   end
@@ -262,43 +264,45 @@ let guest_write t ~addr ~data =
     else
       let vaddr = addr + pos in
       let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
-      match translate_guest t vaddr with
-      | Some paddr ->
+      let paddr = translate_guest t vaddr in
+      if paddr < 0 then false
+      else begin
         Phys_mem.load_bytes (Machine.mem t.machine) ~addr:paddr
           (Bytes.of_string (String.sub data pos room));
         go (pos + room)
-      | None -> false
+      end
   in
   go 0
 
 (* Word access for the trap paths (gate reads, frame pushes and pops):
    a word inside one page is translated once and moved with one
    [Phys_mem] word access, which bumps the same granule generations the
-   byte path would.  A word straddling a page takes the byte path. *)
+   byte path would.  A word straddling a page takes the byte path.
+   Reads return -1 for an unmapped word: a word is 32 bits unsigned, so
+   the sentinel never collides with a value. *)
 let word_in_page vaddr = vaddr land 0xFFF <= Mmu.page_size - 4
 
 let guest_read_u32 t vaddr =
   if word_in_page vaddr then
-    match translate_guest t vaddr with
-    | Some paddr -> Some (Phys_mem.read_u32 (Machine.mem t.machine) paddr)
-    | None -> None
+    let paddr = translate_guest t vaddr in
+    if paddr < 0 then -1 else Phys_mem.read_u32 (Machine.mem t.machine) paddr
   else
     match guest_read t ~addr:vaddr ~len:4 with
     | Some s ->
-      Some
-        (Char.code s.[0]
-        lor (Char.code s.[1] lsl 8)
-        lor (Char.code s.[2] lsl 16)
-        lor (Char.code s.[3] lsl 24))
-    | None -> None
+      Char.code s.[0]
+      lor (Char.code s.[1] lsl 8)
+      lor (Char.code s.[2] lsl 16)
+      lor (Char.code s.[3] lsl 24)
+    | None -> -1
 
 let guest_write_u32 t vaddr v =
   if word_in_page vaddr then
-    match translate_guest t vaddr with
-    | Some paddr ->
+    let paddr = translate_guest t vaddr in
+    if paddr < 0 then false
+    else begin
       Phys_mem.write_u32 (Machine.mem t.machine) paddr v;
       true
-    | None -> false
+    end
   else
     guest_write t ~addr:vaddr
       ~data:(String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)))
@@ -349,26 +353,33 @@ let escalate ?(cause = "unrecoverable_fault") ?(chain = []) t ~vector ~pc =
 
 (* -- Reflection into the guest's virtual interrupt table -- *)
 
-let read_guest_gate t vector =
-  if vector < 0 || vector >= 64 then None
-  else
-    let base = t.v_iht + (8 * vector) in
-    match (guest_read_u32 t base, guest_read_u32 t (base + 4)) with
-    | Some handler, Some info when info land 1 <> 0 ->
-      Some (handler, (info lsr 1) land 3, (info lsr 3) land 3)
-    | _ -> None
+(* The info word of the guest's gate for [vector] when the gate is
+   present and both of its words are mapped, else -1.  Its handler is
+   then [guest_read_u32 t (gate_base t vector)]. *)
+let gate_base t vector = t.v_iht + (8 * vector)
 
+let read_guest_gate t vector =
+  if vector < 0 || vector >= 64 then -1
+  else
+    let base = gate_base t vector in
+    if guest_read_u32 t base < 0 then -1
+    else
+      let info = guest_read_u32 t (base + 4) in
+      if info >= 0 && info land 1 <> 0 then info else -1
+
+(* [chain] holds the earlier delivery attempts (vector, pc) of a nested
+   cascade, innermost last.  It is extended only on the failure paths
+   that recurse or escalate, so a delivery that succeeds builds no list;
+   a crash report still shows the whole cascade. *)
 let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
     ~depth =
   span t "irq" "reflect" @@ fun () ->
   t.c_fault <- t.c_fault + 1;
   flight_note t "monitor.reflect"
     (Flight.Reflect { vector; pc = return_pc; depth });
-  (* [chain] records each delivery attempt (vector, pc), innermost last,
-     so a crash report shows the whole nested-exception cascade. *)
-  let chain = chain @ [ (vector, return_pc) ] in
-  match read_guest_gate t vector with
-  | None ->
+  let info = read_guest_gate t vector in
+  if info < 0 then begin
+    let chain = chain @ [ (vector, return_pc) ] in
     if depth > 0 || vector = Isa.vec_protection then
       (* Guest double/triple fault: stop it, tell the debugger. *)
       escalate t
@@ -377,40 +388,39 @@ let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
     else
       reflect ~chain t ~vector:Isa.vec_protection ~error:vector ~return_pc
         ~depth:(depth + 1)
-  | Some (_, _, dpl) when check_dpl && dpl < t.v_cpl ->
+  end
+  else if check_dpl && (info lsr 3) land 3 < t.v_cpl then
     (* Software interrupt through a gate the caller may not use: #GP,
        like the hardware path. *)
-    reflect ~chain t ~vector:Isa.vec_protection ~error:vector ~return_pc
-      ~depth:(depth + 1)
-  | Some (handler, target_vring, _dpl) ->
-    let sp0 =
-      if target_vring < t.v_cpl then t.v_stacks.(target_vring)
-      else Cpu.read_reg t.cpu Isa.sp
-    in
+    reflect
+      ~chain:(chain @ [ (vector, return_pc) ])
+      t ~vector:Isa.vec_protection ~error:vector ~return_pc ~depth:(depth + 1)
+  else begin
+    let handler = guest_read_u32 t (gate_base t vector) in
+    let target_vring = (info lsr 1) land 3 in
+    let old_sp = Cpu.read_reg t.cpu Isa.sp in
+    let sp0 = if target_vring < t.v_cpl then t.v_stacks.(target_vring) else old_sp in
     let flags = guest_flags_word t in
-    let push sp v = if guest_write_u32 t (sp - 4) v then Some (sp - 4) else None in
-    let frame =
-      match push sp0 (Cpu.read_reg t.cpu Isa.sp) with
-      | Some sp1 ->
-        (match push sp1 flags with
-         | Some sp2 ->
-           (match push sp2 (return_pc land 0xFFFFFFFF) with
-            | Some sp3 -> push sp3 (error land 0xFFFFFFFF)
-            | None -> None)
-         | None -> None)
-      | None -> None
-    in
-    (match frame with
-     | Some sp4 ->
-       Cpu.write_reg t.cpu Isa.sp sp4;
-       t.v_cpl <- target_vring;
-       Cpu.set_cpl t.cpu (real_ring_of_vring target_vring);
-       t.v_if <- false;
-       Cpu.set_pc t.cpu handler;
-       charge t t.costs.Costs.interrupt_delivery
-     | None ->
-       (* The guest's stack is unmapped: unrecoverable from its side. *)
-       escalate t ~cause:"stack_unmapped" ~chain ~vector ~pc:return_pc)
+    (* Push the frame word by word, stopping at the first unmapped one. *)
+    if
+      guest_write_u32 t (sp0 - 4) old_sp
+      && guest_write_u32 t (sp0 - 8) flags
+      && guest_write_u32 t (sp0 - 12) (return_pc land 0xFFFFFFFF)
+      && guest_write_u32 t (sp0 - 16) (error land 0xFFFFFFFF)
+    then begin
+      Cpu.write_reg t.cpu Isa.sp (sp0 - 16);
+      t.v_cpl <- target_vring;
+      Cpu.set_cpl t.cpu (real_ring_of_vring target_vring);
+      t.v_if <- false;
+      Cpu.set_pc t.cpu handler;
+      charge t t.costs.Costs.interrupt_delivery
+    end
+    else
+      (* The guest's stack is unmapped: unrecoverable from its side. *)
+      escalate t ~cause:"stack_unmapped"
+        ~chain:(chain @ [ (vector, return_pc) ])
+        ~vector ~pc:return_pc
+  end
 
 (* -- Virtual interrupt delivery -- *)
 
@@ -505,18 +515,17 @@ let emulate_privileged t instr pc =
     else Cpu.set_halted t.cpu true
   | Isa.Iret ->
     let sp = Cpu.read_reg t.cpu Isa.sp in
-    (match
-       ( guest_read_u32 t sp,
-         guest_read_u32 t (sp + 4),
-         guest_read_u32 t (sp + 8),
-         guest_read_u32 t (sp + 12) )
-     with
-     | Some _error, Some return_pc, Some flags, Some old_sp ->
-       set_guest_flags t flags;
-       Cpu.write_reg t.cpu Isa.sp old_sp;
-       Cpu.set_pc t.cpu return_pc;
-       kick t
-     | _ -> escalate t ~cause:"bad_iret_frame" ~vector:Isa.vec_protection ~pc)
+    let error = guest_read_u32 t sp in
+    let return_pc = guest_read_u32 t (sp + 4) in
+    let flags = guest_read_u32 t (sp + 8) in
+    let old_sp = guest_read_u32 t (sp + 12) in
+    if error >= 0 && return_pc >= 0 && flags >= 0 && old_sp >= 0 then begin
+      set_guest_flags t flags;
+      Cpu.write_reg t.cpu Isa.sp old_sp;
+      Cpu.set_pc t.cpu return_pc;
+      kick t
+    end
+    else escalate t ~cause:"bad_iret_frame" ~vector:Isa.vec_protection ~pc
   | Isa.Liht r ->
     t.v_iht <- reg r;
     Cpu.set_pc t.cpu next

@@ -100,8 +100,9 @@ val guest_read : t -> addr:int -> len:int -> string option
 val guest_write : t -> addr:int -> data:string -> bool
 
 (** [guest_read_u32 t vaddr] reads one little-endian guest-virtual word,
-    as {!guest_read} of 4 bytes would; [None] when unmapped. *)
-val guest_read_u32 : t -> int -> int option
+    as {!guest_read} of 4 bytes would; [-1] when unmapped (a word is
+    32 bits unsigned, so it never reads as -1). *)
+val guest_read_u32 : t -> int -> int
 
 (** [guest_write_u32 t vaddr v] writes one little-endian guest-virtual
     word, as {!guest_write} of its 4 bytes would; [false] when

@@ -179,7 +179,7 @@ let wrap ?(source = "chaos") t sink =
       match t.recorder with
       | Some recorder when Recorder.mode recorder <> Recorder.Off ->
         let verdict =
-          Recorder.decide_chaos recorder ~cycle:(Engine.now t.engine) ~source
+          Recorder.decide_chaos recorder ~cycle:(Engine.now_int t.engine) ~source
             ~roll:(fun () -> draw_verdict t)
         in
         apply t sink byte verdict

@@ -46,11 +46,13 @@ let icache_mask = icache_slots - 1
 
 type t = {
   mem : Phys_mem.t;
+  mem_size : int;
   bus : Io_bus.t;
   engine : Engine.t;
   costs : Costs.t;
   load : Stats.load;
   mmu : Mmu.t;
+  tlb_penalty : int ref; (* [Mmu.penalty mmu] *)
   regs : int array;
   mutable pc : int;
   mutable z : bool;
@@ -68,16 +70,18 @@ type t = {
   mutable pic_ack : unit -> int option;
   mutable pic_pending : unit -> bool;
   mutable hypervisor : (t -> event -> hook_result) option;
-  mutable retired : int64;
-  mutable retire_stop : (int64 * (t -> unit)) option;
+  (* Counters and cycle stamps are native ints, so retiring an
+     instruction allocates nothing; the [int64] accessors convert. *)
+  mutable retired : int;
+  mutable retire_stop : (int * (t -> unit)) option;
       (* reverse-debug replay-to-N: stop when [retired] reaches the
          target, between instructions *)
-  mutable irqs_taken : int64;
-  mutable faults : int64;
-  mutable sample_period : int64;
+  mutable irqs_taken : int;
+  mutable faults : int;
+  mutable sample_period : int;
       (* pc-sampling cadence in cycles; 0 = profiling off, and the
-         dispatch loop pays exactly one Int64 compare per instruction *)
-  mutable next_sample : int64;
+         dispatch loop pays exactly one int compare per instruction *)
+  mutable next_sample : int;
   mutable sample_hook : pc:int -> cpl:int -> unit;
   fetch_buf : Bytes.t;
   icache : icache_slot array;
@@ -91,12 +95,16 @@ type t = {
      where anything else could observe them; [jit_limit] is the cycle
      budget of the current chain, relative to the engine clock at chain
      entry, so the per-op continuation guard is one int compare. *)
-  jcache : jblock option array;
+  jcache : jblock array; (* [no_block] in empty slots *)
   mutable jit_enabled : bool;
   mutable jit_cyc : int;
   mutable jit_ret : int;
   mutable jit_limit : int;
   mutable jit_vpn : int; (* virtual page of the executing block's text *)
+  mutable jit_pbase : int; (* its physical page base *)
+  mutable jit_off : int;
+      (* byte offset, in the executing block, of the last op that may
+         fault; pc + jit_off is the faulting instruction *)
   mutable jb_compiled : int;
   mutable jb_hits : int;
   mutable jb_inval : int;
@@ -120,6 +128,12 @@ and jblock = {
   jb_entry : t -> unit; (* head of the threaded-code chain *)
 }
 
+(* Empty-slot sentinel: no physical pc is negative, so its tag never
+   matches.  [compile_block] returns it for "nothing compilable here",
+   which keeps the dispatcher's lookup free of [option] boxes. *)
+let no_block =
+  { jb_ppc = -1; jb_bytes = 0; jb_gsum = 0; jb_flush = -1; jb_entry = ignore }
+
 let table_entries = 64
 let jcache_slots = 1024
 let jcache_mask = jcache_slots - 1
@@ -130,13 +144,16 @@ let jcache_mask = jcache_slots - 1
 let jit_max_block = 64
 
 let create ~mem ~bus ~engine ~costs ~load () =
+  let mmu = Mmu.create costs in
   {
     mem;
+    mem_size = Phys_mem.size mem;
     bus;
     engine;
     costs;
     load;
-    mmu = Mmu.create costs;
+    mmu;
+    tlb_penalty = Mmu.penalty mmu;
     regs = Array.make Isa.num_regs 0;
     pc = 0;
     z = false;
@@ -154,12 +171,12 @@ let create ~mem ~bus ~engine ~costs ~load () =
     pic_ack = (fun () -> None);
     pic_pending = (fun () -> false);
     hypervisor = None;
-    retired = 0L;
+    retired = 0;
     retire_stop = None;
-    irqs_taken = 0L;
-    faults = 0L;
-    sample_period = 0L;
-    next_sample = 0L;
+    irqs_taken = 0;
+    faults = 0;
+    sample_period = 0;
+    next_sample = 0;
     sample_hook = (fun ~pc:_ ~cpl:_ -> ());
     fetch_buf = Bytes.make Isa.width '\000';
     icache =
@@ -169,12 +186,14 @@ let create ~mem ~bus ~engine ~costs ~load () =
     ic_hits = 0;
     ic_misses = 0;
     ic_inval = 0;
-    jcache = Array.make jcache_slots None;
+    jcache = Array.make jcache_slots no_block;
     jit_enabled = true;
     jit_cyc = 0;
     jit_ret = 0;
     jit_limit = 0;
     jit_vpn = 0;
+    jit_pbase = 0;
+    jit_off = 0;
     jb_compiled = 0;
     jb_hits = 0;
     jb_inval = 0;
@@ -258,18 +277,24 @@ let port_allowed t port =
 
 let charge t cycles =
   if cycles > 0 then begin
-    let c = Int64.of_int cycles in
-    Engine.advance t.engine c;
-    Stats.note_busy t.load c
+    Engine.advance t.engine cycles;
+    Stats.note_busy t.load cycles
   end
 
 (* -- Translated memory access -- *)
 
+(* TLB-miss cycles the last translation left in the MMU's penalty cell,
+   which is then empty again. *)
+let[@inline] drain_penalty t =
+  let p = !(t.tlb_penalty) in
+  if p <> 0 then t.tlb_penalty := 0;
+  p
+
 let translate t ~access ~cpl vaddr =
-  let paddr, extra =
+  let paddr =
     Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl access (Word.mask vaddr)
   in
-  charge t extra;
+  charge t (drain_penalty t);
   paddr
 
 (* Multi-byte accesses that straddle a page fall back to byte-at-a-time so
@@ -387,7 +412,7 @@ let hw_deliver_fault t kind ~return_pc =
     raise (Panic (Printf.sprintf "double fault delivering vector %d" vector))
 
 let dispatch_fault t kind ~return_pc =
-  t.faults <- Int64.add t.faults 1L;
+  t.faults <- t.faults + 1;
   match t.hypervisor with
   | Some hook ->
     (match hook t (Fault (kind, return_pc)) with
@@ -402,7 +427,7 @@ let poll_interrupts t =
     | None -> ()
     | Some vector ->
       t.halted <- false;
-      t.irqs_taken <- Int64.add t.irqs_taken 1L;
+      t.irqs_taken <- t.irqs_taken + 1;
       (match t.hypervisor with
        | Some hook ->
          (match hook t (Irq vector) with
@@ -455,7 +480,7 @@ let fetch t =
   let pc = t.pc in
   if pc land 0xFFF <= Mmu.page_size - Isa.width then begin
     let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
-    if paddr >= 0 && paddr + Isa.width <= Phys_mem.size t.mem then
+    if paddr >= 0 && paddr + Isa.width <= t.mem_size then
       fetch_cached t paddr
     else
       (* Translation does not bound physical addresses (identity map when
@@ -539,164 +564,172 @@ let set_zn t v =
   t.z <- v = 0;
   t.n <- v land 0x80000000 <> 0
 
+(* [exec t instr] runs one decoded instruction and returns the pc to
+   continue at; [step] stores it.  Leaving [t.pc] alone until then keeps
+   it on the faulting instruction when anything raises, and returning an
+   int keeps the interpreter free of a per-call closure.  Arms that move
+   pc themselves (INT, IRET, VMCALL) return [t.pc]. *)
 let exec t instr =
   let next = Word.add t.pc Isa.width in
   let r = t.regs in
-  let goto a = t.pc <- Word.mask a in
   charge t (Isa.base_cycles t.costs instr);
   match instr with
-  | Isa.Nop -> goto next
+  | Isa.Nop -> next
   | Isa.Hlt ->
     require_ring0 t instr;
     t.halted <- true;
-    goto next
+    next
   | Isa.Movi (rd, imm) ->
     r.(rd) <- imm;
-    goto next
+    next
   | Isa.Mov (rd, rs) ->
     r.(rd) <- r.(rs);
-    goto next
+    next
   | Isa.Add (rd, a, b) ->
     r.(rd) <- Word.add r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Addi (rd, a, imm) ->
     r.(rd) <- Word.add r.(a) imm;
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Sub (rd, a, b) ->
     r.(rd) <- Word.sub r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.And_ (rd, a, b) ->
     r.(rd) <- Word.logand r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Or_ (rd, a, b) ->
     r.(rd) <- Word.logor r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Xor_ (rd, a, b) ->
     r.(rd) <- Word.logxor r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Shl (rd, a, b) ->
     r.(rd) <- Word.shift_left r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Shr (rd, a, b) ->
     r.(rd) <- Word.shift_right r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Mul (rd, a, b) ->
     r.(rd) <- Word.mul r.(a) r.(b);
     set_zn t r.(rd);
-    goto next
+    next
   | Isa.Cmp (a, b) ->
     t.z <- Word.equal r.(a) r.(b);
     t.n <- Word.signed_lt r.(a) r.(b);
     t.c <- Word.unsigned_lt r.(a) r.(b);
-    goto next
+    next
   | Isa.Cmpi (a, imm) ->
     t.z <- Word.equal r.(a) imm;
     t.n <- Word.signed_lt r.(a) imm;
     t.c <- Word.unsigned_lt r.(a) imm;
-    goto next
+    next
   | Isa.Ld (rd, base, imm) ->
     r.(rd) <- load_u32 t ~cpl:t.cpl (Word.add r.(base) imm);
-    goto next
+    next
   | Isa.St (base, imm, src) ->
     store_u32 t ~cpl:t.cpl (Word.add r.(base) imm) r.(src);
-    goto next
+    next
   | Isa.Ldb (rd, base, imm) ->
     r.(rd) <- load_u8 t ~cpl:t.cpl (Word.add r.(base) imm);
-    goto next
+    next
   | Isa.Stb (base, imm, src) ->
     store_u8 t ~cpl:t.cpl (Word.add r.(base) imm) (r.(src) land 0xFF);
-    goto next
-  | Isa.Jmp target -> goto target
-  | Isa.Jz target -> goto (if t.z then target else next)
-  | Isa.Jnz target -> goto (if not t.z then target else next)
-  | Isa.Jlt target -> goto (if t.n then target else next)
-  | Isa.Jge target -> goto (if not t.n then target else next)
-  | Isa.Jb target -> goto (if t.c then target else next)
-  | Isa.Jae target -> goto (if not t.c then target else next)
-  | Isa.Jr rs -> goto r.(rs)
+    next
+  | Isa.Jmp target -> target
+  | Isa.Jz target -> if t.z then target else next
+  | Isa.Jnz target -> if not t.z then target else next
+  | Isa.Jlt target -> if t.n then target else next
+  | Isa.Jge target -> if not t.n then target else next
+  | Isa.Jb target -> if t.c then target else next
+  | Isa.Jae target -> if not t.c then target else next
+  | Isa.Jr rs -> r.(rs)
   | Isa.Call target ->
     let sp = Word.sub r.(Isa.sp) 4 in
     store_u32 t ~cpl:t.cpl sp next;
     r.(Isa.sp) <- sp;
-    goto target
+    target
   | Isa.Ret ->
     let sp = r.(Isa.sp) in
     let target = load_u32 t ~cpl:t.cpl sp in
     r.(Isa.sp) <- Word.add sp 4;
-    goto target
+    target
   | Isa.Push rs ->
     let sp = Word.sub r.(Isa.sp) 4 in
     store_u32 t ~cpl:t.cpl sp r.(rs);
     r.(Isa.sp) <- sp;
-    goto next
+    next
   | Isa.Pop rd ->
     let sp = r.(Isa.sp) in
     let v = load_u32 t ~cpl:t.cpl sp in
     r.(Isa.sp) <- Word.add sp 4;
     r.(rd) <- v;
-    goto next
+    next
   | Isa.In_ (rd, rs) ->
     r.(rd) <- Word.mask (port_in t r.(rs));
-    goto next
+    next
   | Isa.Ini (rd, imm) ->
     r.(rd) <- Word.mask (port_in t imm);
-    goto next
+    next
   | Isa.Out (p, v) ->
     port_out t r.(p) r.(v);
-    goto next
+    next
   | Isa.Outi (imm, v) ->
     port_out t imm r.(v);
-    goto next
-  | Isa.Int_ vector -> dispatch_soft t ~vector ~next_pc:next
+    next
+  | Isa.Int_ vector ->
+    dispatch_soft t ~vector ~next_pc:next;
+    t.pc
   | Isa.Iret ->
     require_ring0 t instr;
-    do_iret t
+    do_iret t;
+    t.pc
   | Isa.Sti ->
     require_ring0 t instr;
     t.if_ <- true;
-    goto next
+    next
   | Isa.Cli ->
     require_ring0 t instr;
     t.if_ <- false;
-    goto next
+    next
   | Isa.Liht rs ->
     require_ring0 t instr;
     t.iht <- r.(rs);
-    goto next
+    next
   | Isa.Lptb rs ->
     require_ring0 t instr;
     set_ptb t r.(rs);
-    goto next
+    next
   | Isa.Lstk (ring, rs) ->
     require_ring0 t instr;
     t.stacks.(ring land 3) <- r.(rs);
-    goto next
+    next
   | Isa.Tlbflush ->
     require_ring0 t instr;
     flush_tlb t;
-    goto next
+    next
   | Isa.Copy (d, s, n) ->
     copy_block t ~dst:r.(d) ~src:r.(s) ~len:r.(n);
-    goto next
+    next
   | Isa.Csum (rd, a, n) ->
     r.(rd) <- checksum_block t ~addr:r.(a) ~len:r.(n);
-    goto next
+    next
   | Isa.Rdtsc rd ->
-    r.(rd) <- Word.mask (Int64.to_int (Engine.now t.engine));
-    goto next
+    r.(rd) <- Word.mask (Engine.now_int t.engine);
+    next
   | Isa.Vmcall imm ->
     (match t.hypervisor with
      | Some hook ->
-       goto next;
-       ignore (hook t (Hypercall (imm, next)))
+       t.pc <- next;
+       ignore (hook t (Hypercall (imm, next)));
+       t.pc
      | None -> raise (Fault_exn (Undefined 0x2E)))
   | Isa.Brk -> raise (Fault_exn Breakpoint_trap)
 
@@ -730,7 +763,9 @@ let exec t instr =
 
    3. Fetch elision.  Instruction 1's fetch-translate runs for real at
       dispatch (charging a TLB miss and setting accessed bits exactly
-      like the interpreter's fetch).  Later ops skip it, which is only
+      like the interpreter's fetch), except on a chain follow that stays
+      on a code page still in the TLB, where it would be a plain hit.
+      Later ops skip it, which is only
       visible if a data access evicts the code page's direct-mapped TLB
       entry — the next fetch would walk again, charging cycles and
       writing accessed bits.  Memory ops therefore guard on
@@ -748,33 +783,31 @@ let exec t instr =
       recompiles from the fresh bytes and continues.  DMA and host writes
       cannot happen mid-chain because no events dispatch mid-chain.
 
-   Faults propagate out of the chain as exceptions with pc still at the
-   faulting instruction (ops advance pc only after all faulting work is
-   done, like [exec]); the handler flushes the accumulators and
-   dispatches with [return_pc = pc], then returns to [run_batch] — hooks
-   may halt, stop, schedule or retarget the CPU, all of which the batch
-   loop re-checks. *)
+   pc is not advanced op by op: it stays on the block's first
+   instruction while the chain runs, and an op writes it (first
+   instruction plus the byte offset it was compiled at) only when control
+   leaves the block — a transfer, a budget or guard stop, or the block's
+   end.  Nothing reads pc mid-chain, so this is invisible.
+
+   Faults propagate out of the chain as exceptions.  An op that can fault
+   first records its offset in [jit_off]; the handler restores pc to the
+   faulting instruction from it, flushes the accumulators and dispatches
+   with [return_pc = pc], exactly as [step] would, then returns to
+   [run_batch] — hooks may halt, stop, schedule or retarget the CPU, all
+   of which the batch loop re-checks. *)
 
 let jit_flush t =
-  if t.jit_cyc > 0 then begin
-    let c = Int64.of_int t.jit_cyc in
-    Engine.advance t.engine c;
-    Stats.note_busy t.load c;
-    t.jit_cyc <- 0
-  end;
-  if t.jit_ret > 0 then begin
-    t.retired <- Int64.add t.retired (Int64.of_int t.jit_ret);
-    t.jit_ret <- 0
-  end
+  charge t t.jit_cyc;
+  t.jit_cyc <- 0;
+  t.retired <- t.retired + t.jit_ret;
+  t.jit_ret <- 0
 
 (* Translation for compiled ops: identical to [translate]/[load_u32]/...
    except the TLB-miss penalty lands in the accumulator instead of the
-   engine (invariant 1 above). *)
+   engine (invariant 1 above).  Callers pass already-masked addresses. *)
 let jit_translate t ~access vaddr =
-  let paddr, extra =
-    Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access (Word.mask vaddr)
-  in
-  if extra > 0 then t.jit_cyc <- t.jit_cyc + extra;
+  let paddr = Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access vaddr in
+  t.jit_cyc <- t.jit_cyc + drain_penalty t;
   paddr
 
 let jit_load_u32 t vaddr =
@@ -837,9 +870,9 @@ let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
   p >= bppc && p < bppc + bbytes
 
 (* Chain terminator for blocks that end at a page boundary or an
-   interpreter-only instruction: pc already points at the next
-   instruction, so the dispatcher takes over. *)
-let jit_block_end (_ : t) = ()
+   interpreter-only instruction at byte offset [off]: move pc there and
+   let the dispatcher take over. *)
+let jit_block_end ~off t = t.pc <- Word.add t.pc off
 
 (* Mid-block instruction set.  Every constructor accepted here has a
    matching arm in [compile_op]; keep the two in sync.  The excluded
@@ -855,42 +888,56 @@ let jit_compiles_mid = function
     true
   | _ -> false
 
-(* Compile one straight-line instruction into an op closure.  Each op
-   charges its base cost into the accumulator, replicates [exec]'s work
-   and state-update order exactly (pc advances only after all faulting
-   work, flags after the result write), counts the retirement, and
-   tail-calls [next] while the cycle budget holds — memory ops, the only
-   ops that can disturb the TLB, additionally require the code page to
-   still be resident (invariant 3).  Returns [None] for instructions
-   that must run in the interpreter. *)
-let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
-    =
-  let w = Isa.width in
+(* Tail of every straight-line op: retire it, then run the next op while
+   the cycle budget holds; otherwise put pc on the following instruction
+   (byte offset [nxt] in the block) and return to the dispatcher. *)
+let[@inline] jit_continue t ~next ~nxt =
+  t.jit_ret <- t.jit_ret + 1;
+  if t.jit_cyc < t.jit_limit then next t else t.pc <- Word.add t.pc nxt
+
+(* Memory ops also stop when their store wrote the block's own text
+   (invariant 4) or their access evicted the code page's TLB entry
+   (invariant 3). *)
+let[@inline] jit_continue_mem t ~next ~nxt ~hit =
+  t.jit_ret <- t.jit_ret + 1;
+  if
+    (not hit)
+    && t.jit_cyc < t.jit_limit
+    && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
+  then next t
+  else t.pc <- Word.add t.pc nxt
+
+(* Compile one straight-line instruction at byte offset [off] of its
+   block into an op closure.  Each op charges its base cost into the
+   accumulator, replicates [exec]'s work and state-update order exactly
+   (flags after the result write), counts the retirement, and tail-calls
+   [next] while the cycle budget holds.  pc stays on the block's first
+   instruction while the chain runs and is written only when control
+   leaves it; an op that can fault first records its offset in
+   [jit_off], from which the fault handler restores pc.  Returns [None]
+   for instructions that must run in the interpreter. *)
+let compile_op cpu instr ~off ~bppc ~bbytes ~(next : t -> unit) :
+    (t -> unit) option =
+  let nxt = off + Isa.width in
   let cyc = Isa.base_cycles cpu.costs instr in
   match instr with
   | Isa.Nop ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Movi (rd, imm) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         t.regs.(rd) <- imm;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Mov (rd, rs) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         t.regs.(rd) <- t.regs.(rs);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Add (rd, a, b) ->
     Some
       (fun t ->
@@ -898,9 +945,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.add r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Addi (rd, a, imm) ->
     Some
       (fun t ->
@@ -908,9 +953,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.add r.(a) imm;
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Sub (rd, a, b) ->
     Some
       (fun t ->
@@ -918,9 +961,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.sub r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.And_ (rd, a, b) ->
     Some
       (fun t ->
@@ -928,9 +969,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.logand r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Or_ (rd, a, b) ->
     Some
       (fun t ->
@@ -938,9 +977,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.logor r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Xor_ (rd, a, b) ->
     Some
       (fun t ->
@@ -948,9 +985,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.logxor r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Shl (rd, a, b) ->
     Some
       (fun t ->
@@ -958,9 +993,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.shift_left r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Shr (rd, a, b) ->
     Some
       (fun t ->
@@ -968,9 +1001,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.shift_right r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Mul (rd, a, b) ->
     Some
       (fun t ->
@@ -978,9 +1009,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         let r = t.regs in
         r.(rd) <- Word.mul r.(a) r.(b);
         set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Cmp (a, b) ->
     Some
       (fun t ->
@@ -989,9 +1018,7 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         t.z <- Word.equal r.(a) r.(b);
         t.n <- Word.signed_lt r.(a) r.(b);
         t.c <- Word.unsigned_lt r.(a) r.(b);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Cmpi (a, imm) ->
     Some
       (fun t ->
@@ -1000,101 +1027,73 @@ let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
         t.z <- Word.equal r.(a) imm;
         t.n <- Word.signed_lt r.(a) imm;
         t.c <- Word.unsigned_lt r.(a) imm;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        jit_continue t ~next ~nxt)
   | Isa.Ld (rd, base, imm) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         r.(rd) <- jit_load_u32 t (Word.add r.(base) imm);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit:false)
   | Isa.St (base, imm, src) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         let hit = jit_store_u32_chk t ~bppc ~bbytes (Word.add r.(base) imm) r.(src) in
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit)
   | Isa.Ldb (rd, base, imm) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         r.(rd) <- jit_load_u8 t (Word.add r.(base) imm);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit:false)
   | Isa.Stb (base, imm, src) ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         let hit =
           jit_store_u8_chk t ~bppc ~bbytes (Word.add r.(base) imm)
             (r.(src) land 0xFF)
         in
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit)
   | Isa.Push rs ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         let sp = Word.sub r.(Isa.sp) 4 in
         let hit = jit_store_u32_chk t ~bppc ~bbytes sp r.(rs) in
         r.(Isa.sp) <- sp;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit)
   | Isa.Pop rd ->
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         let sp = r.(Isa.sp) in
         let v = jit_load_u32 t sp in
         r.(Isa.sp) <- Word.add sp 4;
         r.(rd) <- v;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        jit_continue_mem t ~next ~nxt ~hit:false)
   | _ -> None
 
-(* Compile a block-final control transfer.  These end the chain — the
-   dispatcher decides whether to follow (superblock chaining) — so they
-   carry no continuation guard.  Returns [None] for anything that is not
-   a compilable transfer (IRET, BRK and all fallthroughs take the
+(* Compile a block-final control transfer at byte offset [off].  These
+   end the chain — the dispatcher decides whether to follow (superblock
+   chaining) — so they carry no continuation guard and always leave pc
+   on the transfer's destination.  Returns [None] for anything that is
+   not a compilable transfer (IRET, BRK and all fallthroughs take the
    interpreter). *)
-let compile_final cpu instr : (t -> unit) option =
-  let w = Isa.width in
+let compile_final cpu instr ~off : (t -> unit) option =
+  let nxt = off + Isa.width in
   let cyc = Isa.base_cycles cpu.costs instr in
   match instr with
   | Isa.Jmp target ->
@@ -1109,42 +1108,42 @@ let compile_final cpu instr : (t -> unit) option =
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.z then tgt else Word.add t.pc w);
+        t.pc <- (if t.z then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jnz target ->
     let tgt = Word.mask target in
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.z then tgt else Word.add t.pc w);
+        t.pc <- (if not t.z then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jlt target ->
     let tgt = Word.mask target in
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.n then tgt else Word.add t.pc w);
+        t.pc <- (if t.n then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jge target ->
     let tgt = Word.mask target in
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.n then tgt else Word.add t.pc w);
+        t.pc <- (if not t.n then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jb target ->
     let tgt = Word.mask target in
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.c then tgt else Word.add t.pc w);
+        t.pc <- (if t.c then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jae target ->
     let tgt = Word.mask target in
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.c then tgt else Word.add t.pc w);
+        t.pc <- (if not t.c then tgt else Word.add t.pc nxt);
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Jr rs ->
     Some
@@ -1157,8 +1156,9 @@ let compile_final cpu instr : (t -> unit) option =
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
-        let ret = Word.add t.pc w in
+        let ret = Word.add t.pc nxt in
         let sp = Word.sub r.(Isa.sp) 4 in
         jit_store_u32 t sp ret;
         r.(Isa.sp) <- sp;
@@ -1168,6 +1168,7 @@ let compile_final cpu instr : (t -> unit) option =
     Some
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
         let r = t.regs in
         let sp = r.(Isa.sp) in
         let tgt = jit_load_u32 t sp in
@@ -1175,15 +1176,6 @@ let compile_final cpu instr : (t -> unit) option =
         t.pc <- Word.mask tgt;
         t.jit_ret <- t.jit_ret + 1)
   | _ -> None
-
-let jit_gsum t ~ppc ~bytes =
-  let g = Phys_mem.granule_bits in
-  let first = ppc lsr g and last = (ppc + bytes - 1) lsr g in
-  let sum = ref 0 in
-  for i = first to last do
-    sum := !sum + Phys_mem.generation t.mem (i lsl g)
-  done;
-  !sum
 
 (* Whether the instruction at [ppc] can head a block: a compilable
    straight-line op or a compilable transfer.  Interpreter-only heads
@@ -1208,12 +1200,12 @@ let jit_heads_block t ~ppc =
    (or absolute targets from the encoding), so a block is reusable
    across virtual mappings of the same physical text — which is exactly
    what physical keying promises. *)
-let compile_block t ~vpc ~ppc : jblock option =
-  if not (jit_heads_block t ~ppc) then None
+let compile_block t ~vpc ~ppc : jblock =
+  if not (jit_heads_block t ~ppc) then no_block
   else begin
     let w = Isa.width in
     let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
-    let proom = (Phys_mem.size t.mem - ppc) / w in
+    let proom = (t.mem_size - ppc) / w in
     let room = min jit_max_block (min vroom proom) in
     let mids = Array.make (max room 1) Isa.Nop in
     let n_mid = ref 0 in
@@ -1235,16 +1227,17 @@ let compile_block t ~vpc ~ppc : jblock option =
            final := Some i
          | Isa.Int_return | Isa.Terminal -> stop := true)
     done;
+    let off_final = !n_mid * w in
     let tail, n_final =
       match !final with
       | Some i ->
-        (match compile_final t i with
+        (match compile_final t i ~off:off_final with
          | Some op -> (op, 1)
-         | None -> (jit_block_end, 0))
-      | None -> (jit_block_end, 0)
+         | None -> (jit_block_end ~off:off_final, 0))
+      | None -> (jit_block_end ~off:off_final, 0)
     in
     let total = !n_mid + n_final in
-    if total = 0 then None
+    if total = 0 then no_block
     else begin
       (* The validated byte range always covers the full decoded run even
          if closure construction bails early below: over-approximating
@@ -1253,35 +1246,37 @@ let compile_block t ~vpc ~ppc : jblock option =
       let bppc = ppc and bbytes = bytes in
       let entry = ref tail in
       for k = !n_mid - 1 downto 0 do
-        match compile_op t mids.(k) ~bppc ~bbytes ~next:!entry with
+        match compile_op t mids.(k) ~off:(k * w) ~bppc ~bbytes ~next:!entry with
         | Some op -> entry := op
         | None ->
           (* Unreachable while [jit_compiles_mid] and [compile_op] agree;
              ending the block here keeps it safe even if they drift. *)
-          entry := jit_block_end
+          entry := jit_block_end ~off:(k * w)
       done;
       t.jb_compiled <- t.jb_compiled + 1;
-      Some
-        {
-          jb_ppc = ppc;
-          jb_bytes = bytes;
-          jb_gsum = jit_gsum t ~ppc ~bytes;
-          jb_flush = t.icache_gen;
-          jb_entry = !entry;
-        }
+      {
+        jb_ppc = ppc;
+        jb_bytes = bytes;
+        jb_gsum = Phys_mem.generation_sum t.mem ~addr:ppc ~len:bytes;
+        jb_flush = t.icache_gen;
+        jb_entry = !entry;
+      }
     end
   end
 
 (* Direct-mapped lookup with full revalidation (invariant 4): stamp and
-   generation sum must both match, else recompile from current bytes. *)
-let jit_block_at t ~ppc : jblock option =
+   generation sum must both match, else recompile from current bytes.
+   Returns [no_block] when nothing at [ppc] compiles. *)
+let jit_block_at t ~ppc =
   let slot = (ppc lsr 3) land jcache_mask in
-  match t.jcache.(slot) with
-  | Some b when b.jb_ppc = ppc ->
-    if b.jb_flush = t.icache_gen && jit_gsum t ~ppc ~bytes:b.jb_bytes = b.jb_gsum
+  let b = Array.unsafe_get t.jcache slot in
+  if b.jb_ppc = ppc then
+    if
+      b.jb_flush = t.icache_gen
+      && Phys_mem.generation_sum t.mem ~addr:ppc ~len:b.jb_bytes = b.jb_gsum
     then begin
       t.jb_hits <- t.jb_hits + 1;
-      Some b
+      b
     end
     else begin
       t.jb_inval <- t.jb_inval + 1;
@@ -1289,12 +1284,11 @@ let jit_block_at t ~ppc : jblock option =
       t.jcache.(slot) <- nb;
       nb
     end
-  | prev ->
+  else begin
     let nb = compile_block t ~vpc:t.pc ~ppc in
-    (match nb with
-     | Some _ -> t.jcache.(slot) <- nb
-     | None -> ignore prev);
+    if nb != no_block then t.jcache.(slot) <- nb;
     nb
+  end
 
 let read_instr t vaddr =
   if vaddr land 0xFFF <= Mmu.page_size - Isa.width then
@@ -1313,10 +1307,10 @@ let step t =
   let tf0 = t.tf in
   try
     let instr = fetch t in
-    exec t instr;
-    t.retired <- Int64.add t.retired 1L;
+    t.pc <- Word.mask (exec t instr);
+    t.retired <- t.retired + 1;
     (match t.retire_stop with
-     | Some (target, on_stop) when Int64.compare t.retired target >= 0 ->
+     | Some (target, on_stop) when t.retired >= target ->
        (* Landed on the requested instruction boundary: freeze with pc at
           the next instruction to execute, exactly like a debugger stop. *)
        t.retire_stop <- None;
@@ -1325,7 +1319,7 @@ let step t =
      | _ -> ());
     if tf0 && t.tf then begin
       (* Trap after the stepped instruction; handlers run with TF clear. *)
-      t.faults <- Int64.add t.faults 1L;
+      t.faults <- t.faults + 1;
       match t.hypervisor with
       | Some hook ->
         (match hook t (Fault (Step_trap, t.pc)) with
@@ -1341,6 +1335,14 @@ let step t =
   | Isa.Decode_error { opcode; _ } ->
     dispatch_fault t (Undefined opcode) ~return_pc:start_pc
 
+(* An exception left a chain: put pc back on the instruction that raised
+   it (the block's first instruction plus [jit_off]) and flush the
+   accumulators, so the fault is dispatched exactly as [step] would. *)
+let jit_unwind t =
+  t.pc <- Word.add t.pc t.jit_off;
+  t.jit_off <- 0;
+  jit_flush t
+
 (* Dispatch loop of the block translator: execute compiled blocks from
    the cache, chaining across taken transfers while the cycle budget
    [limit] holds, and falling back to one interpreter [step] whenever the
@@ -1351,15 +1353,12 @@ let step t =
 let jit_run t ~limit =
   t.jit_cyc <- 0;
   t.jit_ret <- 0;
-  let rel = Int64.sub limit (Engine.now t.engine) in
-  t.jit_limit <-
-    (if Int64.compare rel (Int64.of_int max_int) >= 0 then max_int
-     else if Int64.compare rel 0L < 0 then 0
-     else Int64.to_int rel);
+  t.jit_limit <- max 0 (limit - Engine.now_int t.engine);
   let chained = ref false in
   (try
      let continue = ref true in
      while !continue do
+       t.jit_off <- 0;
        let pc = t.pc in
        if pc land 0xFFF > Mmu.page_size - Isa.width then begin
          (* Page-straddling fetch: the interpreter's byte-wise path. *)
@@ -1371,9 +1370,20 @@ let jit_run t ~limit =
        else begin
          (* Instruction 1's fetch-translate, for real: charges a miss
             into the accumulator and sets accessed bits exactly like the
-            interpreter's fetch would. *)
-         let ppc = jit_translate t ~access:Mmu.Exec pc in
-         if ppc < 0 || ppc + Isa.width > Phys_mem.size t.mem then begin
+            interpreter's fetch would.  A chain follow that stays on the
+            code page of the block just run, with that page still in the
+            TLB, would hit the same entry — no charge, no bit store — so
+            it reuses the page's frame (the fetch elision of invariant
+            3, applied across the transfer). *)
+         let ppc =
+           if
+             !chained
+             && pc lsr 12 = t.jit_vpn
+             && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
+           then t.jit_pbase lor (pc land 0xFFF)
+           else jit_translate t ~access:Mmu.Exec pc
+         in
+         if ppc < 0 || ppc + Isa.width > t.mem_size then begin
            (* Out-of-RAM text: [step]'s checked read raises Bus_error and
               becomes a machine check.  Its own translate is a TLB hit
               after the walk above, so nothing double-charges. *)
@@ -1383,37 +1393,40 @@ let jit_run t ~limit =
            continue := false
          end
          else
-           match jit_block_at t ~ppc with
-           | None ->
+           let b = jit_block_at t ~ppc in
+           if b == no_block then begin
              (* Interpreter-only instruction at pc; as above, [step]
                 refetches through the now-warm TLB. *)
              jit_flush t;
              t.jb_fallbacks <- t.jb_fallbacks + 1;
              step t;
              continue := false
-           | Some b ->
+           end
+           else begin
              if !chained then t.jb_chains <- t.jb_chains + 1;
              chained := true;
              t.jit_vpn <- pc lsr 12;
+             t.jit_pbase <- ppc land lnot 0xFFF;
              b.jb_entry t;
              if t.jit_cyc >= t.jit_limit then continue := false
+           end
        end
      done
    with
    | Fault_exn kind ->
-     jit_flush t;
+     jit_unwind t;
      dispatch_fault t kind ~return_pc:t.pc
    | Mmu.Page_fault f ->
-     jit_flush t;
+     jit_unwind t;
      dispatch_fault t (Page f) ~return_pc:t.pc
    | Phys_mem.Bus_error addr ->
-     jit_flush t;
+     jit_unwind t;
      dispatch_fault t (Machine_check addr) ~return_pc:t.pc
    | Isa.Decode_error { opcode; _ } ->
-     jit_flush t;
+     jit_unwind t;
      dispatch_fault t (Undefined opcode) ~return_pc:t.pc
    | e ->
-     jit_flush t;
+     jit_unwind t;
      raise e);
   jit_flush t
 
@@ -1433,7 +1446,7 @@ let jit_run t ~limit =
    step is replaced by [jit_run], bounded by the nearer of the horizon
    and the next profiler sample so chains stop on exactly the boundary
    the unbatched loop would have stopped on. *)
-let run_batch t ~horizon ~wake =
+let run_batch_int t ~horizon ~wake =
   let engine = t.engine in
   let continue = ref true in
   while !continue do
@@ -1444,10 +1457,7 @@ let run_batch t ~horizon ~wake =
       && not (t.if_ && t.pic_pending ())
     then begin
       let limit =
-        if
-          Int64.compare t.sample_period 0L > 0
-          && Int64.compare t.next_sample horizon < 0
-        then t.next_sample
+        if t.sample_period > 0 && t.next_sample < horizon then t.next_sample
         else horizon
       in
       jit_run t ~limit
@@ -1457,16 +1467,13 @@ let run_batch t ~horizon ~wake =
        profiler between instructions.  It never advances the clock or
        schedules events, so enabling it cannot perturb guest-visible
        behaviour — replay bit-equality holds with profiling on. *)
-    if
-      Int64.compare t.sample_period 0L > 0
-      && Int64.compare (Engine.now engine) t.next_sample >= 0
-    then begin
+    if t.sample_period > 0 && Engine.now_int engine >= t.next_sample then begin
       t.sample_hook ~pc:t.pc ~cpl:t.cpl;
-      t.next_sample <- Int64.add (Engine.now engine) t.sample_period
+      t.next_sample <- Engine.now_int engine + t.sample_period
     end;
     if
       t.halted || t.stopped
-      || Int64.compare (Engine.now engine) horizon >= 0
+      || Engine.now_int engine >= horizon
       || Engine.wake_generation engine <> wake
     then continue := false
     else begin
@@ -1477,18 +1484,20 @@ let run_batch t ~horizon ~wake =
     end
   done
 
+let run_batch t ~horizon ~wake =
+  run_batch_int t ~horizon:(Engine.horizon_of_time horizon) ~wake
+
 (* -- Introspection -- *)
 
 let set_sampling t ~period ~hook =
   if Int64.compare period 0L < 0 then
     invalid_arg "Cpu.set_sampling: negative period";
+  let period = Engine.cycles_of_time "Cpu.set_sampling" period in
   t.sample_period <- period;
   t.sample_hook <- hook;
-  t.next_sample <-
-    (if Int64.compare period 0L > 0 then Int64.add (Engine.now t.engine) period
-     else 0L)
+  t.next_sample <- (if period > 0 then Engine.now_int t.engine + period else 0)
 
-let sampling_period t = t.sample_period
+let sampling_period t = Int64.of_int t.sample_period
 
 let icache_hits t = t.ic_hits
 let icache_misses t = t.ic_misses
@@ -1504,16 +1513,24 @@ let block_hits t = t.jb_hits
 let block_invalidations t = t.jb_inval
 let block_chain_follows t = t.jb_chains
 let block_fallbacks t = t.jb_fallbacks
-let instructions_retired t = t.retired
+let instructions_retired t = Int64.of_int t.retired
 
 (* Reverse-debug support: checkpoint restore rewinds the retirement
    counter; replay-to-N arms a stop at an absolute retirement count. *)
-let set_instructions_retired t v = t.retired <- v
-let set_retire_stop t spec = t.retire_stop <- spec
+let set_instructions_retired t v =
+  t.retired <- Engine.cycles_of_time "Cpu.set_instructions_retired" v
+
+let set_retire_stop t spec =
+  t.retire_stop <-
+    (match spec with
+     | None -> None
+     | Some (target, on_stop) ->
+       Some (Engine.cycles_of_time "Cpu.set_retire_stop" target, on_stop))
+
 let retire_stop_armed t =
   match t.retire_stop with Some _ -> true | None -> false
-let interrupts_taken t = t.irqs_taken
-let faults_taken t = t.faults
+let interrupts_taken t = Int64.of_int t.irqs_taken
+let faults_taken t = Int64.of_int t.faults
 let mmu t = t.mmu
 let mem t = t.mem
 let bus t = t.bus

@@ -152,8 +152,14 @@ val step : t -> unit
     caller must have dispatched due events and polled interrupts
     immediately before; the interleaving then matches step-at-a-time
     execution exactly.  Interrupts are still polled between instructions
-    inside the batch. *)
+    inside the batch.  A [horizon] beyond the native cycle range means
+    "no horizon" (it is clamped, never wrapped). *)
 val run_batch : t -> horizon:int64 -> wake:int -> unit
+
+(** [run_batch_int t ~horizon ~wake] is {!run_batch} with the horizon in
+    native cycles ({!Vmm_sim.Engine.no_event} for none), the form the
+    machine's run loop uses so it allocates nothing per batch. *)
+val run_batch_int : t -> horizon:int -> wake:int -> unit
 
 (** [deliver t ~table ~vector ~error ~return_pc] runs the interrupt-frame
     protocol against an arbitrary table base — the hardware path uses the
@@ -180,7 +186,7 @@ val read_instr : t -> int -> Isa.instr
     not advance the clock or schedule events; under that contract,
     enabling sampling leaves guest-visible behaviour (and therefore
     record/replay bit-equality) untouched.  With [period = 0] the whole
-    feature costs one [Int64] compare per instruction. *)
+    feature costs one int compare per instruction. *)
 
 (** [set_sampling t ~period ~hook] arms ([period > 0]) or disarms
     ([period = 0]) the sampler; the next sample is due one period from
@@ -233,6 +239,8 @@ val block_chain_follows : t -> int
     out-of-RAM text). *)
 val block_fallbacks : t -> int
 
+(** [instructions_retired t] — the retirement count.  It and the other
+    counters are held as native ints; the [int64] accessors convert. *)
 val instructions_retired : t -> int64
 
 (** {2 Reverse-debug support}

@@ -76,7 +76,7 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
      ring is read), so a crash dump shows the last moments even when
      nothing was recording. *)
   let emit source payload =
-    let cycle = Engine.now engine in
+    let cycle = Engine.now_int engine in
     Recorder.emit recorder ~cycle ~source payload;
     Flight.note flight ~cycle ~kind:source (Flight.Event payload)
   in
@@ -282,28 +282,22 @@ let emit_block_counters t =
   end
 
 let run_until t ~time =
-  while Int64.compare (Engine.now t.engine) time < 0 do
-    ignore (Engine.dispatch_due t.engine);
+  let time = Engine.cycles_of_time "Machine.run_until" time in
+  let engine = t.engine in
+  while Engine.now_int engine < time do
+    ignore (Engine.dispatch_due engine);
     Cpu.poll_interrupts t.cpu;
-    if idle t then begin
+    (* The nearer of the next device event and [time]. *)
+    let horizon = min (Engine.next_event_int engine) time in
+    if idle t then
       (* Skip idle time to the next device event (or the horizon). *)
-      match Engine.next_event_time t.engine with
-      | Some te ->
-        let target = if Int64.compare te time > 0 then time else te in
-        Engine.run_until t.engine ~time:target
-      | None -> Engine.run_until t.engine ~time
-    end
+      Engine.run_until_int engine ~time:horizon
     else begin
       (* Event-horizon batch: nothing can fire before the next scheduled
          event, so step in a tight loop up to it (or to [time]); the wake
          generation snaps the batch shut if an instruction schedules
          something new (device kick, monitor timer). *)
-      let horizon =
-        match Engine.next_event_time t.engine with
-        | Some te when Int64.compare te time < 0 -> te
-        | Some _ | None -> time
-      in
-      Cpu.run_batch t.cpu ~horizon ~wake:(Engine.wake_generation t.engine);
+      Cpu.run_batch_int t.cpu ~horizon ~wake:(Engine.wake_generation engine);
       emit_block_counters t
     end
   done

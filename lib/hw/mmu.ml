@@ -33,7 +33,10 @@ let table_index vaddr = (vaddr lsr 12) land 0x3FF
 
 (* Direct-mapped TLB keyed by virtual page number.  Each entry caches the
    physical frame, the effective permissions and the PTE's physical address
-   so the dirty bit can be set on write hits. *)
+   so the dirty bit can be set on write hits.  [fast] caches the answer of
+   the whole hit path: one bit per (access, supervisor/user) pair, set when
+   a hit with that pair can neither fault nor need a PTE store (see
+   [access_bit]). *)
 type tlb_entry = {
   mutable vpn : int; (* -1 = invalid *)
   mutable frame : int;
@@ -42,14 +45,16 @@ type tlb_entry = {
   mutable nx : bool;
   mutable pte_addr : int;
   mutable dirty : bool; (* PTE dirty bit already set via this entry *)
+  mutable fast : int;
 }
 
 type t = {
   tlb : tlb_entry array;
   tlb_mask : int;
   costs : Costs.t;
-  mutable hits : int64;
-  mutable misses : int64;
+  mutable hits : int;
+  mutable misses : int;
+  penalty : int ref; (* miss cycles not yet drained by the caller *)
 }
 
 let tlb_slots = 256
@@ -66,15 +71,29 @@ let create costs =
             nx = false;
             pte_addr = 0;
             dirty = false;
+            fast = 0;
           });
     tlb_mask = tlb_slots - 1;
     costs;
-    hits = 0L;
-    misses = 0L;
+    hits = 0;
+    misses = 0;
+    penalty = ref 0;
   }
 
 let flush t =
   Array.iter (fun e -> e.vpn <- -1) t.tlb
+
+(* Bit of [tlb_entry.fast] for one access by one privilege class: rings
+   0-2 are supervisor (even bits), ring 3 is user (odd bits). *)
+let access_bit ~cpl access =
+  let b = match access with Read -> 1 | Write -> 4 | Exec -> 16 in
+  if cpl = 3 then b lsl 1 else b
+
+let fast_bits e =
+  let sup =
+    1 lor (if e.writable && e.dirty then 4 else 0) lor if e.nx then 0 else 16
+  in
+  if e.user then sup lor (sup lsl 1) else sup
 
 let check_perms ~cpl ~access ~writable ~user ~nx ~vaddr =
   if cpl = 3 && not user then
@@ -86,60 +105,73 @@ let check_perms ~cpl ~access ~writable ~user ~nx ~vaddr =
     raise (Page_fault { vaddr; access; not_present = false })
   | Write | Read | Exec -> ()
 
-let walk mem ~ptb ~vaddr ~access =
-  let pde_addr = (ptb land 0xFFFFF000) + (4 * dir_index vaddr) in
-  let pde = Phys_mem.read_u32 mem pde_addr in
-  if not (is_present pde) then
-    raise (Page_fault { vaddr; access; not_present = true });
-  let pte_addr = frame_of pde + (4 * table_index vaddr) in
-  let pte = Phys_mem.read_u32 mem pte_addr in
-  if not (is_present pte) then
-    raise (Page_fault { vaddr; access; not_present = true });
-  (pde, pde_addr, pte, pte_addr)
+(* Everything but the common hit: a hit that must fault or set the dirty
+   bit, and a miss (table walk). *)
+let translate_slow t mem ~ptb ~cpl access vaddr vpn entry =
+  if entry.vpn = vpn then begin
+    t.hits <- t.hits + 1;
+    check_perms ~cpl ~access ~writable:entry.writable ~user:entry.user
+      ~nx:entry.nx ~vaddr;
+    (* First write hit through this entry: set the PTE dirty bit once.
+       Later write hits take the fast branch and skip the PTE
+       read-modify-write entirely.  A flush (LPTB/TLBFLUSH) drops the
+       entry, so table edits behave as on real hardware, where stale
+       dirty state also requires a flush. *)
+    if access = Write && not entry.dirty then begin
+      let pte = Phys_mem.read_u32 mem entry.pte_addr in
+      Phys_mem.write_u32 mem entry.pte_addr (pte lor pte_dirty);
+      entry.dirty <- true;
+      entry.fast <- fast_bits entry
+    end;
+    entry.frame lor (vaddr land 0xFFF)
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let pde_addr = (ptb land 0xFFFFF000) + (4 * dir_index vaddr) in
+    let pde = Phys_mem.read_u32 mem pde_addr in
+    if not (is_present pde) then
+      raise (Page_fault { vaddr; access; not_present = true });
+    let pte_addr = frame_of pde + (4 * table_index vaddr) in
+    let pte = Phys_mem.read_u32 mem pte_addr in
+    if not (is_present pte) then
+      raise (Page_fault { vaddr; access; not_present = true });
+    (* Effective permissions combine both levels, like x86.  NX is
+       restrictive at either level (shadow directories never set it, so
+       in practice only leaf PTEs carry it). *)
+    let writable = is_writable pde && is_writable pte in
+    let user = is_user pde && is_user pte in
+    let nx = is_nx pde || is_nx pte in
+    check_perms ~cpl ~access ~writable ~user ~nx ~vaddr;
+    Phys_mem.write_u32 mem pde_addr (pde lor pte_accessed);
+    let dirty = if access = Write then pte_dirty else 0 in
+    Phys_mem.write_u32 mem pte_addr (pte lor pte_accessed lor dirty);
+    entry.vpn <- vpn;
+    entry.frame <- frame_of pte;
+    entry.writable <- writable;
+    entry.user <- user;
+    entry.nx <- nx;
+    entry.pte_addr <- pte_addr;
+    entry.dirty <- access = Write;
+    entry.fast <- fast_bits entry;
+    t.penalty := !(t.penalty) + t.costs.tlb_miss;
+    frame_of pte lor (vaddr land 0xFFF)
+  end
 
+(* The hit branch is the one every memory op takes: a tag compare and a
+   bit test, no allocation, no PTE access. *)
 let translate t mem ~ptb ~cpl access vaddr =
-  if ptb = 0 then (vaddr, 0)
+  if ptb = 0 then vaddr
   else begin
     let vpn = vaddr lsr 12 in
-    let entry = t.tlb.(vpn land t.tlb_mask) in
-    if entry.vpn = vpn then begin
-      t.hits <- Int64.add t.hits 1L;
-      check_perms ~cpl ~access ~writable:entry.writable ~user:entry.user
-        ~nx:entry.nx ~vaddr;
-      (* Write-hit fast path: once this entry has set the PTE dirty bit,
-         later write hits skip the PTE read-modify-write entirely.  A flush
-         (LPTB/TLBFLUSH) drops the entry, so table edits behave as on real
-         hardware, where stale dirty state also requires a flush. *)
-      if access = Write && not entry.dirty then begin
-        let pte = Phys_mem.read_u32 mem entry.pte_addr in
-        Phys_mem.write_u32 mem entry.pte_addr (pte lor pte_dirty);
-        entry.dirty <- true
-      end;
-      (entry.frame lor (vaddr land 0xFFF), 0)
+    let entry = Array.unsafe_get t.tlb (vpn land t.tlb_mask) in
+    if entry.vpn = vpn && entry.fast land access_bit ~cpl access <> 0 then begin
+      t.hits <- t.hits + 1;
+      entry.frame lor (vaddr land 0xFFF)
     end
-    else begin
-      t.misses <- Int64.add t.misses 1L;
-      let pde, pde_addr, pte, pte_addr = walk mem ~ptb ~vaddr ~access in
-      (* Effective permissions combine both levels, like x86.  NX is
-         restrictive at either level (shadow directories never set it, so
-         in practice only leaf PTEs carry it). *)
-      let writable = is_writable pde && is_writable pte in
-      let user = is_user pde && is_user pte in
-      let nx = is_nx pde || is_nx pte in
-      check_perms ~cpl ~access ~writable ~user ~nx ~vaddr;
-      Phys_mem.write_u32 mem pde_addr (pde lor pte_accessed);
-      let dirty = if access = Write then pte_dirty else 0 in
-      Phys_mem.write_u32 mem pte_addr (pte lor pte_accessed lor dirty);
-      entry.vpn <- vpn;
-      entry.frame <- frame_of pte;
-      entry.writable <- writable;
-      entry.user <- user;
-      entry.nx <- nx;
-      entry.pte_addr <- pte_addr;
-      entry.dirty <- access = Write;
-      (frame_of pte lor (vaddr land 0xFFF), t.costs.tlb_miss)
-    end
+    else translate_slow t mem ~ptb ~cpl access vaddr vpn entry
   end
+
+let penalty t = t.penalty
 
 let probe mem ~ptb vaddr =
   if ptb = 0 then Some (make_pte ~frame:(vaddr land 0xFFFFF000) ~writable:true ~user:true)
@@ -161,5 +193,5 @@ let probe mem ~ptb vaddr =
 
 let tlb_covers t ~vpn = (t.tlb.(vpn land t.tlb_mask)).vpn = vpn
 
-let tlb_hits t = t.hits
-let tlb_misses t = t.misses
+let tlb_hits t = Int64.of_int t.hits
+let tlb_misses t = Int64.of_int t.misses

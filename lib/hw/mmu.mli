@@ -64,12 +64,21 @@ val create : Costs.t -> t
 (** [flush t] drops every TLB entry (LPTB and TLBFLUSH do this). *)
 val flush : t -> unit
 
-(** [translate t mem ~ptb ~cpl access vaddr] is [(paddr, extra_cycles)].
-    Sets accessed/dirty bits on the walked entries.  [extra_cycles] is the
-    TLB-miss penalty when a walk was needed, 0 on a hit or with paging off.
+(** [translate t mem ~ptb ~cpl access vaddr] is the physical address.
+    Sets accessed/dirty bits on the walked entries.  A walk (TLB miss)
+    adds the TLB-miss penalty to {!penalty}; a hit or paging off adds
+    nothing.  The common hit — the entry present, the
+    access allowed and, for a write, the PTE already dirty — is one tag
+    compare and one bit test and allocates nothing.
     @raise Page_fault on a missing or forbidden mapping. *)
-val translate :
-  t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int * int
+val translate : t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int
+
+(** [penalty t] is the cell where {!translate} accumulates TLB-miss
+    cycles.  The caller drains it — reads the cycles and sets it back to
+    0 — after each translation, so a miss is charged where it happens.
+    It is a plain [int ref] so the CPU can hold it and drain it without
+    a call. *)
+val penalty : t -> int ref
 
 (** [probe mem ~ptb vaddr] walks the tables without touching accessed/dirty
     bits or the TLB; [None] when unmapped at either level.  Used by the

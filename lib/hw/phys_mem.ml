@@ -28,6 +28,13 @@ let check t addr len =
 let generation t addr =
   Array.unsafe_get t.granule_gens (addr lsr granule_bits)
 
+let generation_sum t ~addr ~len =
+  let sum = ref 0 in
+  for g = addr lsr granule_bits to (addr + len - 1) lsr granule_bits do
+    sum := !sum + t.granule_gens.(g)
+  done;
+  !sum
+
 (* [addr, addr+len) is already bounds-checked when this runs. *)
 let bump t addr len =
   let first = addr lsr granule_bits in

@@ -29,6 +29,12 @@ val granule_bits : int
     containing physical address [addr] (which must be in range). *)
 val generation : t -> int -> int
 
+(** [generation_sum t ~addr ~len] is the sum of the generations of every
+    granule [\[addr, addr + len)] touches ([len > 0]).  Generations only
+    grow, so the sum changes for good once any of them moves.
+    @raise Invalid_argument if the range leaves memory. *)
+val generation_sum : t -> addr:int -> len:int -> int
+
 (** 8-bit access; value in [0, 255]. *)
 val read_u8 : t -> int -> int
 

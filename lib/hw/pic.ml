@@ -34,22 +34,28 @@ let set_latency_probe t ~now ~observe =
   t.probe_now <- Some now;
   t.probe_observe <- observe
 
-let lowest_bit v =
-  let rec scan i = if i >= lines then None else if v land (1 lsl i) <> 0 then Some i else scan (i + 1) in
-  scan 0
+(* Line numbers are returned as ints with -1 for "none", and the scan is
+   a top-level function rather than a closure over [v], so the
+   per-instruction [pending] poll allocates nothing. *)
+let rec lowest_bit_from v i =
+  if i >= lines then -1
+  else if v land (1 lsl i) <> 0 then i
+  else lowest_bit_from v (i + 1)
+
+let lowest_bit v = lowest_bit_from v 0
 
 (* A request is deliverable when unmasked and of strictly higher priority
-   (lower line number) than everything currently in service. *)
+   (lower line number) than everything currently in service: the line,
+   or -1. *)
 let deliverable t =
-  match lowest_bit (t.request land lnot t.mask) with
-  | None -> None
-  | Some line ->
-    (match lowest_bit t.service with
-     | Some s when s <= line -> None
-     | Some _ | None -> Some line)
+  let line = lowest_bit (t.request land lnot t.mask) in
+  if line < 0 then -1
+  else
+    let s = lowest_bit t.service in
+    if s >= 0 && s <= line then -1 else line
 
 let update_intr t =
-  let level = deliverable t <> None in
+  let level = deliverable t >= 0 in
   if level <> t.intr_level then begin
     t.intr_level <- level;
     t.intr level
@@ -57,7 +63,7 @@ let update_intr t =
 
 let set_intr t f =
   t.intr <- f;
-  t.intr_level <- deliverable t <> None;
+  t.intr_level <- deliverable t >= 0;
   f t.intr_level
 
 let raise_irq t line =
@@ -73,12 +79,12 @@ let raise_irq t line =
   t.request <- t.request lor (1 lsl line);
   update_intr t
 
-let pending t = deliverable t <> None
+let pending t = deliverable t >= 0
 
 let ack t =
   match deliverable t with
-  | None -> None
-  | Some line ->
+  | -1 -> None
+  | line ->
     t.request <- t.request land lnot (1 lsl line);
     t.service <- t.service lor (1 lsl line);
     t.acks <- t.acks + 1;
@@ -93,11 +99,11 @@ let ack t =
 let vector_base t = t.vector_base
 
 let eoi t =
-  match lowest_bit t.service with
-  | Some line ->
+  let line = lowest_bit t.service in
+  if line >= 0 then begin
     t.service <- t.service land lnot (1 lsl line);
     update_intr t
-  | None -> ()
+  end
 
 let io_read t offset =
   match offset with

@@ -5,38 +5,46 @@ type detail =
   | Text of string
 
 type entry = {
-  cycle : int64;
+  cycle : int;
   kind : string;
   detail : string;
 }
 
-type slot = {
-  s_cycle : int64;
-  s_kind : string;
-  s_detail : detail;
-}
-
+(* The ring is three parallel arrays rather than an array of slot
+   records, so recording an event stores three fields and allocates
+   nothing; the detail value itself is the caller's. *)
 type t = {
-  ring : slot array;
+  cycles : int array;
+  kinds : string array;
+  details : detail array;
   mutable next : int;
   mutable total : int;
 }
 
-let no_slot = { s_cycle = 0L; s_kind = ""; s_detail = Text "" }
+let no_detail = Text ""
 let default_capacity = 512
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity < 1";
-  { ring = Array.make capacity no_slot; next = 0; total = 0 }
+  {
+    cycles = Array.make capacity 0;
+    kinds = Array.make capacity "";
+    details = Array.make capacity no_detail;
+    next = 0;
+    total = 0;
+  }
 
-let capacity t = Array.length t.ring
+let capacity t = Array.length t.cycles
 
-(* Steady-state cost is exactly this: one slot build, one array store,
-   two index updates.  The detail stays typed; no formatting happens
-   until a dump is requested. *)
+(* Steady-state cost is exactly this: three array stores and two index
+   updates.  The detail stays typed; no formatting happens until a dump
+   is requested. *)
 let note t ~cycle ~kind detail =
-  t.ring.(t.next) <- { s_cycle = cycle; s_kind = kind; s_detail = detail };
-  t.next <- (t.next + 1) mod Array.length t.ring;
+  let i = t.next in
+  t.cycles.(i) <- cycle;
+  t.kinds.(i) <- kind;
+  t.details.(i) <- detail;
+  t.next <- (if i + 1 = Array.length t.cycles then 0 else i + 1);
   t.total <- t.total + 1
 
 let render_detail = function
@@ -47,18 +55,25 @@ let render_detail = function
   | Text s -> s
 
 let total t = t.total
-let retained t = min t.total (Array.length t.ring)
+let retained t = min t.total (capacity t)
 let dropped t = t.total - retained t
 
 let entries t =
   let n = retained t in
-  let cap = Array.length t.ring in
+  let cap = capacity t in
   List.init n (fun i ->
-      let s = t.ring.((t.next - n + i + (2 * cap)) mod cap) in
-      { cycle = s.s_cycle; kind = s.s_kind; detail = render_detail s.s_detail })
+      let j = (t.next - n + i + (2 * cap)) mod cap in
+      {
+        cycle = t.cycles.(j);
+        kind = t.kinds.(j);
+        detail = render_detail t.details.(j);
+      })
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) no_slot;
+  let cap = capacity t in
+  Array.fill t.cycles 0 cap 0;
+  Array.fill t.kinds 0 cap "";
+  Array.fill t.details 0 cap no_detail;
   t.next <- 0;
   t.total <- 0
 
@@ -73,6 +88,6 @@ let dump t =
   List.iter
     (fun e ->
       Buffer.add_string buf
-        (Printf.sprintf "@%Ld %s: %s\n" e.cycle e.kind e.detail))
+        (Printf.sprintf "@%d %s: %s\n" e.cycle e.kind e.detail))
     (entries t);
   Buffer.contents buf

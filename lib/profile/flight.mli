@@ -4,8 +4,9 @@
     monitor.
 
     Events are typed when recorded and rendered only when read: a slot
-    keeps the cycle, the kind and a small {!detail} value, and a
-    recorded event costs one slot write (no formatting, no I/O).  Text
+    keeps the cycle (a native int), the kind and a small {!detail}
+    value, and a recorded event costs three array stores (no
+    allocation, no formatting, no I/O).  Text
     is produced only by {!entries} and {!dump} — on crash/wedge into the
     crash bundle, or over the debug link via [qR].  When the ring wraps,
     the oldest entries are overwritten and counted in {!dropped}: the
@@ -25,7 +26,7 @@ type detail =
 
 (** A retained event as read back, with its detail rendered. *)
 type entry = {
-  cycle : int64;  (** engine time the event was recorded *)
+  cycle : int;  (** engine time the event was recorded *)
   kind : string;  (** dot-separated source, e.g. [irq.deliver] *)
   detail : string;
 }
@@ -41,7 +42,7 @@ val capacity : t -> int
 
 (** [note t ~cycle ~kind detail] records one event, overwriting the
     oldest when full. *)
-val note : t -> cycle:int64 -> kind:string -> detail -> unit
+val note : t -> cycle:int -> kind:string -> detail -> unit
 
 (** [total t] — events ever recorded. *)
 val total : t -> int

@@ -151,7 +151,7 @@ let sample t ~pc ~ring ~cat =
     t.memo_packed <- packed;
     t.memo_count <- r
   end;
-  t.recent_cycle.(t.recent_next) <- Int64.to_int (Engine.now t.engine);
+  t.recent_cycle.(t.recent_next) <- Engine.now_int t.engine;
   t.recent_packed.(t.recent_next) <- packed;
   t.recent_next <- (t.recent_next + 1) mod Array.length t.recent_packed;
   t.recent_total <- t.recent_total + 1;

@@ -91,16 +91,19 @@ let check t (actual : Event.t) =
     end
   end
 
+(* The trace format keeps [int64] cycles; the native cycle is boxed only
+   here, when an event is actually logged or checked. *)
 let emit t ~cycle ~source payload =
   match t.mode with
   | Off -> ()
   | _ when t.muted -> ()
   | Record ->
-    t.log <- { Event.cycle; source; payload } :: t.log;
+    t.log <- { Event.cycle = Int64.of_int cycle; source; payload } :: t.log;
     t.count <- t.count + 1
-  | Replay -> check t { Event.cycle; source; payload }
+  | Replay -> check t { Event.cycle = Int64.of_int cycle; source; payload }
 
 let decide_chaos t ~cycle ~source ~roll =
+  let cycle = Int64.of_int cycle in
   match t.mode with
   | Off -> roll ()
   | _ when t.muted -> roll ()

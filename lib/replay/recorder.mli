@@ -51,15 +51,17 @@ val recorded : t -> Event.t list
 val position : t -> int
 
 (** [emit t ~cycle ~source payload] — report one nondeterministic
-    event. *)
-val emit : t -> cycle:int64 -> source:string -> Event.payload -> unit
+    event at engine cycle [cycle].  Costs nothing when [Off] or muted:
+    the cycle becomes the event's [int64] stamp only when it is logged
+    or checked. *)
+val emit : t -> cycle:int -> source:string -> Event.payload -> unit
 
 (** [decide_chaos t ~cycle ~source ~roll] — obtain the chaos verdict for
     one byte.  [Off]: [roll ()].  [Record]: [roll ()], logged.
     [Replay]: the scripted verdict (the RNG is not consulted); on
     mismatch the divergence latches and [roll ()] is used. *)
 val decide_chaos :
-  t -> cycle:int64 -> source:string -> roll:(unit -> Event.chaos_verdict) ->
+  t -> cycle:int -> source:string -> roll:(unit -> Event.chaos_verdict) ->
   Event.chaos_verdict
 
 val divergence : t -> divergence option

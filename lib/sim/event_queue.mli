@@ -2,7 +2,8 @@
 
     The queue orders events by [(time, sequence)]: events scheduled for the
     same time fire in insertion order, which keeps simulations deterministic.
-    Times are abstract 64-bit counts (the simulator uses CPU cycles). *)
+    Times are native [int] counts (the simulator uses CPU cycles); reading
+    the earliest time and popping an event allocate nothing. *)
 
 type 'a t
 
@@ -18,20 +19,28 @@ val length : 'a t -> int
 (** Handle to a scheduled event, usable for cancellation. *)
 type handle
 
+(** [no_event] is [max_int], what {!next_time} reads on an empty queue.
+    No event can be scheduled at or after it. *)
+val no_event : int
+
 (** [add q ~time payload] schedules [payload] at [time] and returns a handle.
     [time] may be in the past relative to previously popped events; ordering
-    is the caller's concern. *)
-val add : 'a t -> time:int64 -> 'a -> handle
+    is the caller's concern.
+    @raise Invalid_argument if [time >= no_event]. *)
+val add : 'a t -> time:int -> 'a -> handle
 
 (** [cancel q h] removes the event behind [h]; returns [false] when the event
     already fired or was cancelled before. *)
 val cancel : 'a t -> handle -> bool
 
-(** [peek_time q] is the timestamp of the earliest pending event. *)
-val peek_time : 'a t -> int64 option
+(** [next_time q] is the timestamp of the earliest pending event, or
+    {!no_event} when none is pending. *)
+val next_time : 'a t -> int
 
-(** [pop q] removes and returns the earliest event as [(time, payload)]. *)
-val pop : 'a t -> (int64 * 'a) option
+(** [pop q] removes the earliest pending event and returns its payload
+    (its time is the {!next_time} read just before).
+    @raise Invalid_argument when the queue is empty. *)
+val pop : 'a t -> 'a
 
 (** [clear q] drops every pending event. *)
 val clear : 'a t -> unit

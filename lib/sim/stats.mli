@@ -25,8 +25,9 @@ type load
 val load : unit -> load
 
 (** [note_busy load cycles] records [cycles] of non-idle execution,
-    attributed to the current category. *)
-val note_busy : load -> int64 -> unit
+    attributed to the current category.  Busy time is held in native
+    ints; the [int64] readers below convert. *)
+val note_busy : load -> int -> unit
 
 (** {2 Cycle attribution}
 

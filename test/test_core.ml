@@ -277,7 +277,7 @@ let test_guest_word_access () =
   Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
   run_seconds m 0.001;
   check int "guest paging on" pd (Monitor.guest_ptb mon);
-  let word = Alcotest.(option int) in
+  let word = Alcotest.int in
   (* inside one page: one translation, one word store, one generation
      bump — the same bump a 4-byte [guest_write] makes *)
   let g0 = Phys_mem.generation mem 0x30100 in
@@ -287,7 +287,7 @@ let test_guest_word_access () =
   let g1 = Phys_mem.generation mem 0x30140 in
   check bool "byte-path write" true (Monitor.guest_write mon ~addr:0x9140 ~data:"abcd");
   check int "byte path bumps the same" (g1 + 1) (Phys_mem.generation mem 0x30140);
-  check word "in-page read" (Some 0xDEADBEEF) (Monitor.guest_read_u32 mon 0x9100);
+  check word "in-page read" 0xDEADBEEF (Monitor.guest_read_u32 mon 0x9100);
   (* straddling a page: both paths agree, and the bytes split across
      the two frames *)
   List.iter
@@ -297,20 +297,20 @@ let test_guest_word_access () =
       check bool "straddling write" true (Monitor.guest_write_u32 mon vaddr v);
       check (Alcotest.option int) "byte path reads it back" (Some v)
         (Option.map le_word (Monitor.guest_read mon ~addr:vaddr ~len:4));
-      check word "word path reads it back" (Some v) (Monitor.guest_read_u32 mon vaddr);
+      check word "word path reads it back" v (Monitor.guest_read_u32 mon vaddr);
       check int "low byte in the first frame" (v land 0xFF)
         (Phys_mem.read_u8 mem (0x30000 + off));
       check int "high byte in the second frame" ((v lsr 24) land 0xFF)
         (Phys_mem.read_u8 mem (0x50000 + off + 3 - 0x1000));
       check bool "byte-path write" true
         (Monitor.guest_write mon ~addr:vaddr ~data:"\x01\x02\x03\x04");
-      check word "word path reads the byte path" (Some 0x04030201)
+      check word "word path reads the byte path" 0x04030201
         (Monitor.guest_read_u32 mon vaddr))
     [ 0xFFD; 0xFFE; 0xFFF ];
   (* unmapped, wholly or in part *)
-  check word "unmapped read" None (Monitor.guest_read_u32 mon 0xB010);
+  check word "unmapped read" (-1) (Monitor.guest_read_u32 mon 0xB010);
   check bool "unmapped write" false (Monitor.guest_write_u32 mon 0xB010 1);
-  check word "straddle into unmapped read" None (Monitor.guest_read_u32 mon 0xAFFE);
+  check word "straddle into unmapped read" (-1) (Monitor.guest_read_u32 mon 0xAFFE);
   check bool "straddle into unmapped write" false
     (Monitor.guest_write_u32 mon 0xAFFE 1)
 

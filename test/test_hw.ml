@@ -545,15 +545,25 @@ let build_identity_tables mem ~pd ~pt ~mbytes ~user =
       (Mmu.make_pte ~frame:(i * 4096) ~writable:true ~user)
   done
 
+(* [(paddr, penalty)] of one translation: the physical address and the
+   TLB-miss cycles it left for the caller to drain. *)
+let translate_charged mmu mem ~cpl access vaddr =
+  let paddr = Mmu.translate mmu mem ~ptb:0x4000 ~cpl access vaddr in
+  let penalty = Mmu.penalty mmu in
+  let cycles = !penalty in
+  penalty := 0;
+  (paddr, cycles)
+
 let test_mmu_translate_and_bits () =
   let costs = Costs.default in
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
   let mmu = Mmu.create costs in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
-  let paddr, cyc = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1234 in
+  let paddr, cyc = translate_charged mmu mem ~cpl:0 Mmu.Read 0x1234 in
   check int "identity" 0x1234 paddr;
   check bool "miss charged" true (cyc > 0);
-  let _, cyc2 = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1238 in
+  check int "penalty drained" 0 !(Mmu.penalty mmu);
+  let _, cyc2 = translate_charged mmu mem ~cpl:0 Mmu.Read 0x1238 in
   check int "tlb hit free" 0 cyc2;
   let pte = Phys_mem.read_u32 mem (0x5000 + 4) in
   check bool "accessed set" true (pte land Mmu.pte_accessed <> 0);
@@ -606,10 +616,10 @@ let test_mmu_write_hit_dirty_cached () =
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   let pte_addr = 0x5000 + 4 (* vpn 1 *) in
   let pte_dirty () = Phys_mem.read_u32 mem pte_addr land Mmu.pte_dirty <> 0 in
-  let _, fill = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1000 in
+  let _, fill = translate_charged mmu mem ~cpl:0 Mmu.Read 0x1000 in
   check bool "fill charged" true (fill > 0);
   check bool "read fill leaves clean" false (pte_dirty ());
-  let _, hit = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1004 in
+  let _, hit = translate_charged mmu mem ~cpl:0 Mmu.Write 0x1004 in
   check int "write hit free" 0 hit;
   check bool "first write sets dirty" true (pte_dirty ());
   Phys_mem.write_u32 mem pte_addr
@@ -617,10 +627,55 @@ let test_mmu_write_hit_dirty_cached () =
   ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1008);
   check bool "later write hits skip the PTE" false (pte_dirty ());
   Mmu.flush mmu;
-  let _, refill = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x100C in
+  let _, refill = translate_charged mmu mem ~cpl:0 Mmu.Write 0x100C in
   check bool "miss after flush" true (refill > 0);
   check bool "dirty re-set after flush" true (pte_dirty ());
   check bool "hits counted" true (Int64.compare (Mmu.tlb_hits mmu) 2L >= 0)
+
+(* The hit branch of [Mmu.translate] may skip work only when nothing is
+   left to do: a TLB-resident entry must still set the PTE dirty bit on
+   its first write, and must still fault a ring-3 access to a
+   supervisor page and an exec of an NX page. *)
+let test_mmu_hit_path () =
+  let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
+  let mmu = Mmu.create Costs.default in
+  build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
+  let misses () = Mmu.tlb_misses mmu in
+  let protection_fault ~cpl access vaddr =
+    match Mmu.translate mmu mem ~ptb:0x4000 ~cpl access vaddr with
+    | _ -> false
+    | exception Mmu.Page_fault f ->
+      (not f.Mmu.not_present) && f.Mmu.access = access && f.Mmu.vaddr = vaddr
+  in
+  (* dirty bit on the first write hit *)
+  let pte_addr = 0x5000 + (4 * 3) in
+  ignore (translate_charged mmu mem ~cpl:0 Mmu.Read 0x3000);
+  check bool "read fill leaves clean" true
+    (Phys_mem.read_u32 mem pte_addr land Mmu.pte_dirty = 0);
+  let m0 = misses () in
+  let _, hit = translate_charged mmu mem ~cpl:0 Mmu.Write 0x3010 in
+  check int "write is a hit" 0 hit;
+  check Alcotest.int64 "no walk" m0 (misses ());
+  check bool "write hit sets dirty" true
+    (Phys_mem.read_u32 mem pte_addr land Mmu.pte_dirty <> 0);
+  (* ring 3 on a resident supervisor entry *)
+  ignore (translate_charged mmu mem ~cpl:0 Mmu.Read 0x4000);
+  let m1 = misses () in
+  check bool "ring-3 read of supervisor page faults" true
+    (protection_fault ~cpl:3 Mmu.Read 0x4008);
+  check Alcotest.int64 "faulted on the hit" m1 (misses ());
+  check int "ring 0 still hits" 0x4008
+    (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x4008);
+  (* exec of a resident NX entry *)
+  Phys_mem.write_u32 mem (0x5000 + (4 * 6))
+    (Mmu.make_pte ~frame:0x6000 ~writable:true ~user:false lor Mmu.pte_nx);
+  ignore (translate_charged mmu mem ~cpl:0 Mmu.Read 0x6000);
+  let m2 = misses () in
+  check bool "exec of NX page faults" true (protection_fault ~cpl:0 Mmu.Exec 0x6004);
+  check Alcotest.int64 "faulted on the hit" m2 (misses ());
+  check int "reads of the NX page still hit" 0x6004
+    (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x6004);
+  check int "hits leave no penalty" 0 !(Mmu.penalty mmu)
 
 let test_cpu_page_fault_delivery () =
   (* Enable paging, then touch an unmapped page; #PF handler records the
@@ -1054,7 +1109,7 @@ let prop_mmu_probe_agrees_with_translate =
       let vaddr = (probe_page land 0xFF) * 4096 in
       let probe = Mmu.probe mem ~ptb:pd vaddr in
       let translate =
-        try Some (fst (Mmu.translate mmu mem ~ptb:pd ~cpl:3 Mmu.Read vaddr))
+        try Some (Mmu.translate mmu mem ~ptb:pd ~cpl:3 Mmu.Read vaddr)
         with Mmu.Page_fault _ -> None
       in
       match (probe, translate) with
@@ -1499,13 +1554,47 @@ let test_jit_interpreter_only_head () =
   check int "refused heads compile nothing" compiled (Cpu.blocks_compiled cpu);
   check bool "every lap met the cli head" true
     (heads > 1000 && abs (heads - (reg m 2 - laps)) <= 1);
-  (* Measured at 51 words a lap: three instructions plus a trip through
-     the dispatcher.  A refusal that builds the decode buffer adds about
-     65 more. *)
+  (* Measured at 0 words a lap.  A refusal that builds the decode
+     buffer adds about 65. *)
   let per_head = words /. float_of_int heads in
   check bool
-    (Printf.sprintf "%.1f minor words per lap <= 70" per_head)
-    true (per_head <= 70.0)
+    (Printf.sprintf "%.1f minor words per lap <= 10" per_head)
+    true (per_head <= 10.0)
+
+(* The sim-speed compute loop on bare metal with the translator off:
+   every instruction goes through fetch, [exec] and [step], which must
+   not allocate (measured 0.0000 words per instruction; the ceiling is
+   ROADMAP's target of 2). *)
+let test_interpreter_alloc () =
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m in
+  Cpu.set_jit_enabled cpu false;
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a Isa.sp (Asm.imm 0x8000);
+  Asm.movi a 1 (Asm.imm 0);
+  Asm.movi a 4 (Asm.imm 0x4000);
+  Asm.label a "loop";
+  Asm.addi a 1 1 (Asm.imm 1);
+  Asm.st a 4 0 1;
+  Asm.ld a 5 4 0;
+  Asm.add a 6 6 5;
+  Asm.mul a 7 1 5;
+  Asm.push a 6;
+  Asm.pop a 8;
+  Asm.cmpi a 1 (Asm.imm 0);
+  Asm.jnz a (Asm.lbl "loop");
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  Machine.run_for m ~cycles:100_000L;
+  let i0 = Cpu.instructions_retired cpu in
+  let w0 = Gc.minor_words () in
+  Machine.run_for m ~cycles:2_000_000L;
+  let words = Gc.minor_words () -. w0 in
+  let instrs = Int64.to_float (Int64.sub (Cpu.instructions_retired cpu) i0) in
+  check int "no block compiled" 0 (Cpu.blocks_compiled cpu);
+  let per_instr = words /. instrs in
+  check bool
+    (Printf.sprintf "%.3f minor words per instruction <= 2" per_instr)
+    true (per_instr <= 2.0)
 
 let test_jit_set_ptb_remap () =
   (* Same virtual pc, different physical frame after a PTB reload: the
@@ -1603,6 +1692,7 @@ let () =
           Alcotest.test_case "probe" `Quick test_mmu_probe;
           Alcotest.test_case "write hit caches dirty" `Quick
             test_mmu_write_hit_dirty_cached;
+          Alcotest.test_case "tlb-hit path" `Quick test_mmu_hit_path;
         ] );
       ( "pic",
         [
@@ -1669,6 +1759,8 @@ let () =
           Alcotest.test_case "set_ptb remap" `Quick test_jit_set_ptb_remap;
           Alcotest.test_case "interpreter-only head" `Quick
             test_jit_interpreter_only_head;
+          Alcotest.test_case "interpreter allocation" `Quick
+            test_interpreter_alloc;
         ] );
       ( "properties",
         qsuite [ prop_mmu_probe_agrees_with_translate; prop_disassembly_roundtrip ] );

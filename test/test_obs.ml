@@ -75,11 +75,11 @@ let test_tracer_nesting_exclusive () =
   (* outer [0, 100] with an inner [30, 70]: outer's exclusive share is
      60, inner's is 40 — they sum to the outer wall time. *)
   Tracer.begin_span t ~cat:"mon_cpu" "outer";
-  Engine.advance engine 30L;
+  Engine.advance engine 30;
   Tracer.begin_span t ~cat:"irq" "inner";
-  Engine.advance engine 40L;
+  Engine.advance engine 40;
   Tracer.end_span t;
-  Engine.advance engine 30L;
+  Engine.advance engine 30;
   Tracer.end_span t;
   check int "two complete events" 2 (Tracer.event_count t);
   check
@@ -142,9 +142,9 @@ let test_tracer_flush_open_spans () =
   let t = Tracer.create ~engine () in
   Tracer.set_enabled t true;
   Tracer.begin_span t ~cat:"mon_cpu" "outer";
-  Engine.advance engine 10L;
+  Engine.advance engine 10;
   Tracer.begin_span t ~cat:"irq" "inner";
-  Engine.advance engine 5L;
+  Engine.advance engine 5;
   check int "two flushed" 2 (Tracer.flush_open_spans t);
   check int "nothing open" 0 (Tracer.depth t);
   check int "both recorded as complete events" 2 (Tracer.event_count t);
@@ -175,7 +175,7 @@ let test_tracer_dropped_accounting () =
   check int "nothing dropped at capacity" 0 (Tracer.dropped t);
   for _ = 1 to 4 do
     Tracer.with_span t ~cat:"mon_cpu" "spilled" (fun () ->
-        Engine.advance engine 1L)
+        Engine.advance engine 1)
   done;
   check int "events capped" 3 (Tracer.event_count t);
   check int "every overflow counted" 4 (Tracer.dropped t);
@@ -187,9 +187,9 @@ let test_tracer_chrome_golden () =
   let engine = Engine.create () in
   let t = Tracer.create ~engine () in
   Tracer.set_enabled t true;
-  Engine.advance engine 100L;
+  Engine.advance engine 100;
   Tracer.begin_span t ~cat:"mon_cpu" "trap";
-  Engine.advance engine 200L;
+  Engine.advance engine 200;
   Tracer.end_span t;
   (* cpu_hz = 1e6 makes one cycle one microsecond, so the golden text is
      round numbers. *)

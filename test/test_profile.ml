@@ -52,13 +52,13 @@ let test_profiler_cadence () =
   Profiler.set_period p 100L;
   check bool "armed" true (Profiler.enabled p);
   check bool "not due immediately" false (Profiler.due p);
-  Engine.advance engine 99L;
+  Engine.advance engine 99;
   check bool "not due one cycle early" false (Profiler.due p);
-  Engine.advance engine 1L;
+  Engine.advance engine 1;
   check bool "due at the period" true (Profiler.due p);
   Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
   check bool "re-armed after sample" false (Profiler.due p);
-  Engine.advance engine 100L;
+  Engine.advance engine 100;
   check bool "due again" true (Profiler.due p)
 
 let test_profiler_buckets () =
@@ -164,7 +164,7 @@ let test_profiler_perfetto_counters () =
   let p = Profiler.create ~engine () in
   Profiler.set_period p 10L;
   for _ = 1 to 20 do
-    Engine.advance engine 10L;
+    Engine.advance engine 10;
     Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest"
   done;
   let doc = Profiler.perfetto_counters ~slices:4 p in
@@ -185,7 +185,7 @@ let test_flight_ring_wrap () =
   let f = Flight.create ~capacity:4 () in
   check int "default capacity sane" 512 Flight.default_capacity;
   for i = 1 to 10 do
-    Flight.note f ~cycle:(Int64.of_int (i * 100)) ~kind:"irq.deliver"
+    Flight.note f ~cycle:(i * 100) ~kind:"irq.deliver"
       (Flight.Text (Printf.sprintf "line=%d" i))
   done;
   check int "total" 10 (Flight.total f);
@@ -203,9 +203,9 @@ let test_flight_ring_wrap () =
 
 let test_flight_dump_golden () =
   let f = Flight.create ~capacity:2 () in
-  Flight.note f ~cycle:100L ~kind:"trap.pf" (Flight.Text "pc=0x1000");
-  Flight.note f ~cycle:250L ~kind:"io.out" (Flight.Text "port=0x64 val=0xfe");
-  Flight.note f ~cycle:300L ~kind:"irq.deliver" (Flight.Text "line=3");
+  Flight.note f ~cycle:100 ~kind:"trap.pf" (Flight.Text "pc=0x1000");
+  Flight.note f ~cycle:250 ~kind:"io.out" (Flight.Text "port=0x64 val=0xfe");
+  Flight.note f ~cycle:300 ~kind:"irq.deliver" (Flight.Text "line=3");
   check string "dump"
     "flight total=3 retained=2 dropped=1 capacity=2\n\
      @250 io.out: port=0x64 val=0xfe\n\
@@ -253,7 +253,7 @@ let test_flight_dump_golden () =
   in
   let g = Flight.create ~capacity:(List.length cases) () in
   List.iteri
-    (fun i (kind, d, _) -> Flight.note g ~cycle:(Int64.of_int (10 * i)) ~kind d)
+    (fun i (kind, d, _) -> Flight.note g ~cycle:(10 * i) ~kind d)
     cases;
   List.iter2
     (fun (kind, _, want) e ->

@@ -13,81 +13,84 @@ let bool = Alcotest.bool
 
 (* -- Event queue -- *)
 
+(* [Some (time, payload)] of the earliest event, removing it. *)
+let pop_timed q =
+  let time = Event_queue.next_time q in
+  if time = Event_queue.no_event then None else Some (time, Event_queue.pop q)
+
 let test_queue_order () =
   let q = Event_queue.create () in
-  ignore (Event_queue.add q ~time:30L "c");
-  ignore (Event_queue.add q ~time:10L "a");
-  ignore (Event_queue.add q ~time:20L "b");
-  check (Alcotest.option (Alcotest.pair Alcotest.int64 Alcotest.string))
-    "first" (Some (10L, "a")) (Event_queue.pop q);
-  check (Alcotest.option (Alcotest.pair Alcotest.int64 Alcotest.string))
-    "second" (Some (20L, "b")) (Event_queue.pop q);
-  check (Alcotest.option (Alcotest.pair Alcotest.int64 Alcotest.string))
-    "third" (Some (30L, "c")) (Event_queue.pop q);
+  ignore (Event_queue.add q ~time:30 "c");
+  ignore (Event_queue.add q ~time:10 "a");
+  ignore (Event_queue.add q ~time:20 "b");
+  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string))
+    "first" (Some (10, "a")) (pop_timed q);
+  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string))
+    "second" (Some (20, "b")) (pop_timed q);
+  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string))
+    "third" (Some (30, "c")) (pop_timed q);
   check bool "empty" true (Event_queue.is_empty q)
 
 let test_queue_fifo_ties () =
   let q = Event_queue.create () in
-  ignore (Event_queue.add q ~time:5L "first");
-  ignore (Event_queue.add q ~time:5L "second");
-  ignore (Event_queue.add q ~time:5L "third");
-  let order =
-    List.init 3 (fun _ ->
-        match Event_queue.pop q with Some (_, v) -> v | None -> "?")
-  in
+  ignore (Event_queue.add q ~time:5 "first");
+  ignore (Event_queue.add q ~time:5 "second");
+  ignore (Event_queue.add q ~time:5 "third");
+  let order = List.init 3 (fun _ -> Event_queue.pop q) in
   check (Alcotest.list Alcotest.string) "insertion order"
     [ "first"; "second"; "third" ] order
 
 let test_queue_cancel () =
   let q = Event_queue.create () in
-  let h1 = Event_queue.add q ~time:1L "a" in
-  let _h2 = Event_queue.add q ~time:2L "b" in
+  let h1 = Event_queue.add q ~time:1 "a" in
+  let _h2 = Event_queue.add q ~time:2 "b" in
   check bool "cancel live" true (Event_queue.cancel q h1);
   check bool "cancel dead" false (Event_queue.cancel q h1);
   check int "length after cancel" 1 (Event_queue.length q);
-  check (Alcotest.option (Alcotest.pair Alcotest.int64 Alcotest.string))
-    "skips cancelled" (Some (2L, "b")) (Event_queue.pop q)
+  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string))
+    "skips cancelled" (Some (2, "b")) (pop_timed q)
 
 let test_queue_peek () =
   let q = Event_queue.create () in
-  check (Alcotest.option Alcotest.int64) "empty peek" None
-    (Event_queue.peek_time q);
-  let h = Event_queue.add q ~time:7L () in
-  check (Alcotest.option Alcotest.int64) "peek" (Some 7L)
-    (Event_queue.peek_time q);
+  check int "empty peek" Event_queue.no_event (Event_queue.next_time q);
+  let h = Event_queue.add q ~time:7 () in
+  check int "peek" 7 (Event_queue.next_time q);
   ignore (Event_queue.cancel q h);
-  check (Alcotest.option Alcotest.int64) "peek after cancel" None
-    (Event_queue.peek_time q)
+  check int "peek after cancel" Event_queue.no_event (Event_queue.next_time q);
+  check bool "pop on empty raises" true
+    (match Event_queue.pop q with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 let test_queue_clear () =
   let q = Event_queue.create () in
   for i = 1 to 100 do
-    ignore (Event_queue.add q ~time:(Int64.of_int i) i)
+    ignore (Event_queue.add q ~time:i i)
   done;
   Event_queue.clear q;
   check bool "cleared" true (Event_queue.is_empty q);
-  check (Alcotest.option Alcotest.int64) "no peek" None (Event_queue.peek_time q)
+  check int "no peek" Event_queue.no_event (Event_queue.next_time q)
 
 let prop_queue_sorted =
   QCheck.Test.make ~name:"pop order is nondecreasing in time" ~count:200
     QCheck.(list (int_bound 10000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> ignore (Event_queue.add q ~time:(Int64.of_int t) t)) times;
+      List.iter (fun t -> ignore (Event_queue.add q ~time:t t)) times;
       let rec drain last =
-        match Event_queue.pop q with
+        match pop_timed q with
         | None -> true
-        | Some (t, _) -> if Int64.compare t last < 0 then false else drain t
+        | Some (t, _) -> if t < last then false else drain t
       in
-      drain Int64.min_int)
+      drain min_int)
 
 let prop_queue_conserves =
   QCheck.Test.make ~name:"every added event pops exactly once" ~count:200
     QCheck.(list (int_bound 1000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> ignore (Event_queue.add q ~time:(Int64.of_int t) ())) times;
-      let rec drain n = match Event_queue.pop q with None -> n | Some _ -> drain (n + 1) in
+      List.iter (fun t -> ignore (Event_queue.add q ~time:t ())) times;
+      let rec drain n = match pop_timed q with None -> n | Some _ -> drain (n + 1) in
       drain 0 = List.length times)
 
 (* Model-based test: the heap must agree with a naive list reference under
@@ -114,10 +117,10 @@ let prop_queue_model =
           None !model
       in
       let pop_and_check () =
-        match Event_queue.pop q with
+        match pop_timed q with
         | None -> expect (!model = [])
         | Some (t, id) ->
-          expect (min_live () = Some (Int64.to_int t, id));
+          expect (min_live () = Some (t, id));
           drop id
       in
       List.iter
@@ -126,7 +129,7 @@ let prop_queue_model =
           | 0 | 1 | 2 ->
             let id = !next_id in
             incr next_id;
-            let h = Event_queue.add q ~time:(Int64.of_int x) id in
+            let h = Event_queue.add q ~time:x id in
             handles := (h, id) :: !handles;
             model := (x, id) :: !model
           | 3 -> (
@@ -157,17 +160,17 @@ let prop_queue_model =
 let test_queue_compaction () =
   let q = Event_queue.create () in
   let handles =
-    Array.init 100 (fun i -> Event_queue.add q ~time:(Int64.of_int i) i)
+    Array.init 100 (fun i -> Event_queue.add q ~time:i i)
   in
   for i = 0 to 89 do
     ignore (Event_queue.cancel q handles.(i))
   done;
   check int "live length" 10 (Event_queue.length q);
   for i = 90 to 99 do
-    match Event_queue.pop q with
+    match pop_timed q with
     | Some (t, v) ->
       check int "payload order" i v;
-      check Alcotest.int64 "time order" (Int64.of_int i) t
+      check int "time order" i t
     | None -> Alcotest.fail "queue drained early"
   done;
   check bool "empty after drain" true (Event_queue.is_empty q);
@@ -199,7 +202,7 @@ let test_engine_cascade () =
 
 let test_engine_past_clamps () =
   let e = Engine.create () in
-  Engine.advance e 100L;
+  Engine.advance e 100;
   let fired = ref false in
   ignore (Engine.at e ~time:50L (fun () -> fired := true));
   ignore (Engine.dispatch_due e);
@@ -222,6 +225,85 @@ let test_engine_run_until_idle () =
   check int "queue empty" 0 (Engine.pending e)
 
 (* -- RNG -- *)
+
+(* -- The int64 boundary of the native-int clock -- *)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Times past 2^32 cycles (about 3.4 s at 1.26 GHz) are ordinary: events
+   fire in order and every [int64] reader sees the exact cycle. *)
+let test_engine_beyond_32_bits () =
+  let big = 5_000_000_000L in
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now e) :: !log in
+  ignore (Engine.at e ~time:(Int64.add big 7L) (note "b"));
+  ignore (Engine.at e ~time:big (note "a"));
+  ignore (Engine.at e ~time:(Int64.add big 1_000_000_000L) (note "c"));
+  Engine.run_until e ~time:(Int64.add big 100L);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
+    "fired in order at their cycles"
+    [ ("a", big); ("b", Int64.add big 7L) ]
+    (List.rev !log);
+  check Alcotest.int64 "clock" (Int64.add big 100L) (Engine.now e);
+  check int "native clock agrees" (Int64.to_int big + 100) (Engine.now_int e);
+  check (Alcotest.option Alcotest.int64) "next event"
+    (Some (Int64.add big 1_000_000_000L))
+    (Engine.next_event_time e);
+  ignore (Engine.after e ~delay:5L (note "d"));
+  Engine.run_until e ~time:(Int64.add big 2_000_000_000L);
+  check
+    (Alcotest.list Alcotest.string)
+    "after from a 33-bit clock" [ "a"; "b"; "d"; "c" ]
+    (List.rev_map fst !log);
+  (* the machine's clock reads back the same way *)
+  let m = Vmm_hw.Machine.create ~mem_size:(64 * 1024) () in
+  Vmm_hw.Cpu.set_halted (Vmm_hw.Machine.cpu m) true;
+  let fired = ref 0L in
+  ignore
+    (Engine.at (Vmm_hw.Machine.engine m) ~time:(Int64.sub big 1L) (fun () ->
+         fired := Vmm_hw.Machine.now m));
+  Vmm_hw.Machine.run_until m ~time:big;
+  check Alcotest.int64 "machine event cycle" (Int64.sub big 1L) !fired;
+  check Alcotest.int64 "machine clock" big (Vmm_hw.Machine.now m)
+
+(* An [int64] time the native clock cannot hold is refused; a horizon,
+   which only bounds a loop, is clamped to "never".  Nothing wraps. *)
+let test_engine_out_of_range () =
+  let e = Engine.create () in
+  Engine.advance e 10;
+  let huge = Int64.max_int and edge = Int64.of_int max_int in
+  check bool "at refuses" true
+    (raises_invalid (fun () -> Engine.at e ~time:huge ignore));
+  check bool "at refuses the sentinel" true
+    (raises_invalid (fun () -> Engine.at e ~time:edge ignore));
+  check bool "after refuses an overflowing sum" true
+    (raises_invalid (fun () -> Engine.after e ~delay:(Int64.sub edge 5L) ignore));
+  check bool "run_until refuses" true
+    (raises_invalid (fun () -> Engine.run_until e ~time:huge));
+  check int "nothing scheduled" 0 (Engine.pending e);
+  check Alcotest.int64 "clock untouched" 10L (Engine.now e);
+  check bool "advance refuses negative" true
+    (raises_invalid (fun () -> Engine.advance e (-1)));
+  let m = Vmm_hw.Machine.create ~mem_size:(64 * 1024) () in
+  check bool "machine run_until refuses" true
+    (raises_invalid (fun () -> Vmm_hw.Machine.run_until m ~time:huge));
+  check Alcotest.int64 "machine clock untouched" 0L (Vmm_hw.Machine.now m);
+  (* run_batch with an out-of-range horizon runs until the CPU halts; a
+     wrapped (negative) horizon would stop it after one instruction *)
+  let module Asm = Vmm_hw.Asm in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 1 (Asm.imm 7);
+  Asm.movi a 2 (Asm.imm 9);
+  Asm.hlt a;
+  Vmm_hw.Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  let cpu = Vmm_hw.Machine.cpu m in
+  Vmm_hw.Cpu.run_batch cpu ~horizon:huge
+    ~wake:(Engine.wake_generation (Vmm_hw.Machine.engine m));
+  check bool "ran to the halt" true (Vmm_hw.Cpu.halted cpu);
+  check Alcotest.int64 "three retired" 3L (Vmm_hw.Cpu.instructions_retired cpu)
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
@@ -284,8 +366,8 @@ let test_stats_counter () =
 
 let test_stats_load () =
   let l = Stats.load () in
-  Stats.note_busy l 25L;
-  Stats.note_busy l 25L;
+  Stats.note_busy l 25;
+  Stats.note_busy l 25;
   check (Alcotest.float 1e-9) "utilization" 0.5
     (Stats.utilization l ~elapsed:100L);
   check (Alcotest.float 1e-9) "clamped" 1.0 (Stats.utilization l ~elapsed:10L);
@@ -333,11 +415,11 @@ let test_stats_reset_histogram () =
 
 let test_stats_categories () =
   let l = Stats.load () in
-  Stats.note_busy l 10L;
+  Stats.note_busy l 10;
   Stats.with_category l "mon_cpu" (fun () ->
-      Stats.note_busy l 5L;
-      Stats.with_category l "irq" (fun () -> Stats.note_busy l 3L);
-      Stats.note_busy l 2L);
+      Stats.note_busy l 5;
+      Stats.with_category l "irq" (fun () -> Stats.note_busy l 3);
+      Stats.note_busy l 2);
   check Alcotest.string "restored" Stats.default_category (Stats.category l);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
@@ -444,6 +526,10 @@ let () =
           Alcotest.test_case "past clamps to now" `Quick test_engine_past_clamps;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run_until_idle" `Quick test_engine_run_until_idle;
+          Alcotest.test_case "times beyond 32 bits" `Quick
+            test_engine_beyond_32_bits;
+          Alcotest.test_case "out-of-range int64 times" `Quick
+            test_engine_out_of_range;
         ] );
       ( "rng",
         [
