@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- debugload    -- E5 debugging under load
      dune exec bench/main.exe -- ablation-trap         -- E6
      dune exec bench/main.exe -- ablation-passthrough  -- E7
-     dune exec bench/main.exe -- micro        -- M1 bechamel microbenches
+     dune exec bench/main.exe -- micro        -- M1 bechamel microbenches (BENCH_micro.json)
      dune exec bench/main.exe -- profile      -- continuous-profiler overhead
      dune exec bench/main.exe -- analysis     -- M3 static-verifier throughput *)
 
@@ -1597,8 +1597,41 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Kernel.build (Kernel.default_config ~rate_mbps:100.0))))
   in
+  (* One interpreted COPY or CSUM over a UDP frame's 1458-byte payload,
+     the streaming kernel's per-frame data path, at unaligned
+     addresses. *)
+  let frame_op name op =
+    let machine = Machine.create ~mem_size:(2 * 1024 * 1024) () in
+    let cpu = Machine.cpu machine in
+    let a = Asm.create ~origin:0x1000 () in
+    Asm.movi a 1 (Asm.imm 0x20001);
+    Asm.movi a 2 (Asm.imm 0x30001);
+    Asm.movi a 3 (Asm.imm 1458);
+    op a;
+    Machine.boot machine (Asm.assemble a) ~entry:0x1000;
+    ignore (Machine.run_steps machine 3);
+    let at = Cpu.pc cpu in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           Cpu.set_pc cpu at;
+           ignore (Machine.run_steps machine 1)))
+  in
+  let csum_frame =
+    frame_op "csum 1458-byte frame" (fun a -> Asm.csum a 4 1 3)
+  in
+  let copy_frame =
+    frame_op "copy 1458-byte frame" (fun a -> Asm.copy a 1 2 3)
+  in
   let tests =
-    [ step_machine; world_switch; packet_roundtrip; event_queue; kernel_build ]
+    [
+      step_machine;
+      world_switch;
+      packet_roundtrip;
+      event_queue;
+      kernel_build;
+      csum_frame;
+      copy_frame;
+    ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -1607,18 +1640,34 @@ let micro () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ estimate ] ->
-            Printf.printf "%-36s %12.1f ns/run\n" name estimate
-          | Some _ | None -> Printf.printf "%-36s (no estimate)\n" name)
-        analysis)
-    tests
+  let rows =
+    List.concat_map
+      (fun test ->
+        let results = Benchmark.all cfg [ instance ] test in
+        let analysis = Analyze.all ols instance results in
+        Hashtbl.fold
+          (fun name ols_result rows ->
+            match Analyze.OLS.estimates ols_result with
+            | Some [ estimate ] ->
+              let r2 = Analyze.OLS.r_square ols_result in
+              Printf.printf "%-36s %12.1f ns/run  r2 %s\n" name estimate
+                (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-");
+              Json.Obj
+                [
+                  ("name", Json.String name);
+                  ("ns_per_run", Json.Float estimate);
+                  ( "r_square",
+                    match r2 with Some r -> Json.Float r | None -> Json.Null );
+                ]
+              :: rows
+            | Some _ | None ->
+              Printf.printf "%-36s (no estimate)\n" name;
+              rows)
+          analysis [])
+      tests
+  in
+  write_json "BENCH_micro.json"
+    (Json.Obj (run_header "micro" @ [ ("results", Json.List rows) ]))
 
 (* ---------------------------------------------------------------- *)
 

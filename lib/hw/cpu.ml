@@ -517,38 +517,59 @@ let port_out t port v =
 
 (* -- Block operations -- *)
 
-let copy_block t ~dst ~src ~len =
-  charge t (Costs.cycles_for_bytes ~per_byte:t.costs.copy_per_byte len);
-  let rec go dst src len =
-    if len > 0 then begin
-      let src_room = Mmu.page_size - (src land 0xFFF) in
-      let dst_room = Mmu.page_size - (dst land 0xFFF) in
-      let chunk = min len (min src_room dst_room) in
-      let psrc = translate t ~access:Mmu.Read ~cpl:t.cpl src in
-      let pdst = translate t ~access:Mmu.Write ~cpl:t.cpl dst in
-      Phys_mem.blit t.mem ~src:psrc ~dst:pdst ~len:chunk;
-      go (Word.add dst chunk) (Word.add src chunk) (len - chunk)
-    end
-  in
-  go (Word.mask dst) (Word.mask src) len
+(* COPY and CSUM walk their ranges in page chunks, each translated in its
+   own page.  The interpreter and the translator share these walks; [acc]
+   says where the charges go: straight to the engine ([exec]), or into the
+   running chain's accumulator (a compiled op; invariant 1 of the
+   translator below).  The per-byte cost is charged up front and each
+   chunk's TLB misses as it is translated, so a fault on a later page
+   leaves the earlier chunks done and their cycles charged, and the
+   restarted instruction pays again — identically either way. *)
+let[@inline] charge_to t ~acc cycles =
+  if acc then t.jit_cyc <- t.jit_cyc + cycles else charge t cycles
 
-let checksum_block t ~addr ~len =
-  charge t (Costs.cycles_for_bytes ~per_byte:t.costs.csum_per_byte len);
+(* [translate] for a page walk: the TLB-miss penalty goes where [acc]
+   says.  Callers pass already-masked addresses. *)
+let[@inline] walk_translate t ~acc ~access vaddr =
+  let paddr = Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access vaddr in
+  charge_to t ~acc (drain_penalty t);
+  paddr
+
+(* Translation for compiled ops: identical to [translate]/[load_u32]/...
+   except the TLB-miss penalty lands in the accumulator instead of the
+   engine (invariant 1 below). *)
+let jit_translate t ~access vaddr = walk_translate t ~acc:true ~access vaddr
+
+(* A forward copy, chunk after chunk; only within a chunk do overlapping
+   ranges behave like memmove (docs/ISA.md). *)
+let copy_block t ~acc ~dst ~src ~len =
+  charge_to t ~acc (Costs.cycles_for_bytes ~per_byte:t.costs.copy_per_byte len);
+  let dst = ref (Word.mask dst) and src = ref (Word.mask src) in
+  let left = ref len in
+  while !left > 0 do
+    let src_room = Mmu.page_size - (!src land 0xFFF) in
+    let dst_room = Mmu.page_size - (!dst land 0xFFF) in
+    let chunk = min !left (min src_room dst_room) in
+    let psrc = walk_translate t ~acc ~access:Mmu.Read !src in
+    let pdst = walk_translate t ~acc ~access:Mmu.Write !dst in
+    Phys_mem.blit t.mem ~src:psrc ~dst:pdst ~len:chunk;
+    dst := Word.add !dst chunk;
+    src := Word.add !src chunk;
+    left := !left - chunk
+  done
+
+let checksum_block t ~acc ~addr ~len =
+  charge_to t ~acc (Costs.cycles_for_bytes ~per_byte:t.costs.csum_per_byte len);
   (* Internet checksum with little-endian 16-bit pairing, accumulated chunk
      by chunk so page boundaries keep global byte parity. *)
-  let sum = ref 0 in
-  let index = ref 0 in
-  let rec go addr len =
-    if len > 0 then begin
-      let room = Mmu.page_size - (addr land 0xFFF) in
-      let chunk = min len room in
-      let paddr = translate t ~access:Mmu.Read ~cpl:t.cpl addr in
-      sum := Phys_mem.checksum_add t.mem ~addr:paddr ~len:chunk ~index:!index !sum;
-      index := !index + chunk;
-      go (Word.add addr chunk) (len - chunk)
-    end
-  in
-  go (Word.mask addr) len;
+  let addr = ref (Word.mask addr) and sum = ref 0 and index = ref 0 in
+  while !index < len do
+    let chunk = min (len - !index) (Mmu.page_size - (!addr land 0xFFF)) in
+    let paddr = walk_translate t ~acc ~access:Mmu.Read !addr in
+    sum := Phys_mem.checksum_add t.mem ~addr:paddr ~len:chunk ~index:!index !sum;
+    index := !index + chunk;
+    addr := Word.add !addr chunk
+  done;
   let s = ref !sum in
   while !s lsr 16 <> 0 do
     s := (!s land 0xFFFF) + (!s lsr 16)
@@ -716,10 +737,10 @@ let exec t instr =
     flush_tlb t;
     next
   | Isa.Copy (d, s, n) ->
-    copy_block t ~dst:r.(d) ~src:r.(s) ~len:r.(n);
+    copy_block t ~acc:false ~dst:r.(d) ~src:r.(s) ~len:r.(n);
     next
   | Isa.Csum (rd, a, n) ->
-    r.(rd) <- checksum_block t ~addr:r.(a) ~len:r.(n);
+    r.(rd) <- checksum_block t ~acc:false ~addr:r.(a) ~len:r.(n);
     next
   | Isa.Rdtsc rd ->
     r.(rd) <- Word.mask (Engine.now_int t.engine);
@@ -770,18 +791,24 @@ let exec t instr =
       entry — the next fetch would walk again, charging cycles and
       writing accessed bits.  Memory ops therefore guard on
       [Mmu.tlb_covers] for the code page and bail to the dispatcher when
-      it fails (with paging off there is nothing to evict).  The only
-      tolerated divergence is the MMU's internal hit counter, which no
+      it fails (with paging off there is nothing to evict).  A load or
+      store touches at most two consecutive pages, which never share a
+      slot, so it cannot evict the code page's entry and refill it too;
+      a COPY or CSUM can, so after one that walked the tables the chain
+      stops and the dispatcher fetches anew.  The only tolerated
+      divergence is the MMU's internal hit counter, which no
       guest-visible path reads.
 
    4. Text stability.  A block is (re)validated at every dispatch against
       the granule write generations of its whole text plus the flush
-      stamp.  Mid-chain, the only writers are the compiled stores
-      themselves: each store checks its physical range against the
-      block's text and stops the chain short when it intersects, so the
-      remaining stale ops never run — the dispatcher revalidates,
-      recompiles from the fresh bytes and continues.  DMA and host writes
-      cannot happen mid-chain because no events dispatch mid-chain.
+      stamp.  Mid-chain, the only writers are the compiled stores and
+      COPYs themselves: a store checks the physical range it wrote
+      against the block's text, a COPY the text's generation sum, and
+      either stops the chain short when the text was written, so the
+      remaining stale ops never run —
+      the dispatcher revalidates, recompiles from the fresh bytes and
+      continues.  DMA and host writes cannot happen mid-chain because no
+      events dispatch mid-chain.
 
    pc is not advanced op by op: it stays on the block's first
    instruction while the chain runs, and an op writes it (first
@@ -801,14 +828,6 @@ let jit_flush t =
   t.jit_cyc <- 0;
   t.retired <- t.retired + t.jit_ret;
   t.jit_ret <- 0
-
-(* Translation for compiled ops: identical to [translate]/[load_u32]/...
-   except the TLB-miss penalty lands in the accumulator instead of the
-   engine (invariant 1 above).  Callers pass already-masked addresses. *)
-let jit_translate t ~access vaddr =
-  let paddr = Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access vaddr in
-  t.jit_cyc <- t.jit_cyc + drain_penalty t;
-  paddr
 
 let jit_load_u32 t vaddr =
   let vaddr = Word.mask vaddr in
@@ -875,16 +894,18 @@ let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
 let jit_block_end ~off t = t.pc <- Word.add t.pc off
 
 (* Mid-block instruction set.  Every constructor accepted here has a
-   matching arm in [compile_op]; keep the two in sync.  The excluded
-   fallthrough instructions (I/O, privileged control, COPY/CSUM, RDTSC,
-   VMCALL, INT, HLT) end the block and run in the interpreter: they
-   reach devices, rings, the clock or the monitor — exactly where the
+   matching arm in [compile_op]; keep the two in sync.  COPY and CSUM are
+   memory ops like ST and LD, only longer: they share their page walks
+   with [exec] and charge into the accumulator.  The excluded
+   fallthrough instructions (I/O, privileged control, RDTSC, VMCALL,
+   INT, HLT) end the block and run in the interpreter: they reach
+   devices, rings, the clock or the monitor — exactly where the
    unbatched loop's per-instruction bookkeeping is observable. *)
 let jit_compiles_mid = function
   | Isa.Nop | Isa.Movi _ | Isa.Mov _ | Isa.Add _ | Isa.Addi _ | Isa.Sub _
   | Isa.And_ _ | Isa.Or_ _ | Isa.Xor_ _ | Isa.Shl _ | Isa.Shr _ | Isa.Mul _
   | Isa.Cmp _ | Isa.Cmpi _ | Isa.Ld _ | Isa.St _ | Isa.Ldb _ | Isa.Stb _
-  | Isa.Push _ | Isa.Pop _ ->
+  | Isa.Push _ | Isa.Pop _ | Isa.Copy _ | Isa.Csum _ ->
     true
   | _ -> false
 
@@ -906,6 +927,21 @@ let[@inline] jit_continue_mem t ~next ~nxt ~hit =
     && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
   then next t
   else t.pc <- Word.add t.pc nxt
+
+(* COPY and CSUM walk page after page, so one op can evict the code
+   page's TLB entry and walk it back in — from a PTE the guest may have
+   edited since — which [tlb_covers] cannot tell from an entry that never
+   left.  After such an op walked the tables, stop the chain and forget
+   the code page's frame, so the dispatcher's next fetch goes through the
+   TLB as the interpreter's does.  A COPY also stops when its writes bumped
+   a granule generation of the block's own text (invariant 4). *)
+let[@inline] jit_continue_walk t ~next ~nxt ~misses ~hit =
+  if Mmu.miss_count t.mmu = misses then jit_continue_mem t ~next ~nxt ~hit
+  else begin
+    t.jit_ret <- t.jit_ret + 1;
+    t.jit_vpn <- -1;
+    t.pc <- Word.add t.pc nxt
+  end
 
 (* Compile one straight-line instruction at byte offset [off] of its
    block into an op closure.  Each op charges its base cost into the
@@ -1084,6 +1120,26 @@ let compile_op cpu instr ~off ~bppc ~bbytes ~(next : t -> unit) :
         r.(Isa.sp) <- Word.add sp 4;
         r.(rd) <- v;
         jit_continue_mem t ~next ~nxt ~hit:false)
+  | Isa.Copy (d, s, n) ->
+    Some
+      (fun t ->
+        t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
+        let r = t.regs in
+        let gsum = Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes in
+        let misses = Mmu.miss_count t.mmu in
+        copy_block t ~acc:true ~dst:r.(d) ~src:r.(s) ~len:r.(n);
+        jit_continue_walk t ~next ~nxt ~misses
+          ~hit:(Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes <> gsum))
+  | Isa.Csum (rd, a, n) ->
+    Some
+      (fun t ->
+        t.jit_cyc <- t.jit_cyc + cyc;
+        t.jit_off <- off;
+        let r = t.regs in
+        let misses = Mmu.miss_count t.mmu in
+        r.(rd) <- checksum_block t ~acc:true ~addr:r.(a) ~len:r.(n);
+        jit_continue_walk t ~next ~nxt ~misses ~hit:false)
   | _ -> None
 
 (* Compile a block-final control transfer at byte offset [off].  These

@@ -195,3 +195,4 @@ let tlb_covers t ~vpn = (t.tlb.(vpn land t.tlb_mask)).vpn = vpn
 
 let tlb_hits t = Int64.of_int t.hits
 let tlb_misses t = Int64.of_int t.misses
+let miss_count t = t.misses

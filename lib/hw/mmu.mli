@@ -99,3 +99,7 @@ val tlb_covers : t -> vpn:int -> bool
 val tlb_hits : t -> int64
 
 val tlb_misses : t -> int64
+
+(** [miss_count t] is {!tlb_misses} as a native int: table walks so far,
+    read without allocating by the translator's guards. *)
+val miss_count : t -> int

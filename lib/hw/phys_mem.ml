@@ -107,16 +107,59 @@ let blit t ~src ~dst ~len =
   if len > 0 then bump t dst len;
   Bytes.blit t.data src t.data dst len
 
+(* Unchecked native-endian 64-bit load; callers have bounds-checked the
+   range.  Unaligned addresses are fine on every target OCaml supports. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_le64 b i =
+  if Sys.big_endian then bswap64 (get64u b i) else get64u b i
+
+(* Two 16-bit lanes per 32-bit field: masking a little-endian word with
+   this keeps lanes 0 and 2; shifting it right by 16 first keeps lanes 1
+   and 3. *)
+let lanes = 0x0000_FFFF_0000_FFFF
+
+(* Words summed into one lane accumulator before it is folded into the
+   running sum.  Each word adds at most 2 * 0xFFFF to either 32-bit
+   field, and the upper field has 31 bits in a 63-bit int, so 16384
+   words is the most that cannot carry out of it. *)
+let fold_words = 8192
+
 let checksum_add t ~addr ~len ~index sum =
   check t addr len;
   (* Ones'-complement accumulation with explicit byte index, so callers
-     summing chunk by chunk keep global little-endian 16-bit pairing. *)
-  let sum = ref sum in
-  for i = 0 to len - 1 do
-    let b = Char.code (Bytes.unsafe_get t.data (addr + i)) in
-    if (index + i) land 1 = 0 then sum := !sum + b
-    else sum := !sum + (b lsl 8)
+     summing chunk by chunk keep global little-endian 16-bit pairing: a
+     byte at an even global index adds itself, one at an odd index adds
+     itself shifted left by 8.  After at most one odd-index head byte,
+     every 16-bit little-endian pair adds exactly its two bytes' share, so
+     the body sums four pairs per 64-bit word; the result is the integer
+     the byte-at-a-time loop would return. *)
+  let d = t.data in
+  let stop = addr + len in
+  let sum = ref sum and p = ref addr in
+  if len > 0 && index land 1 <> 0 then begin
+    sum := !sum + (Char.code (Bytes.unsafe_get d addr) lsl 8);
+    p := addr + 1
+  end;
+  while stop - !p >= 8 do
+    let block_end = !p + (8 * min fold_words ((stop - !p) / 8)) in
+    let acc = ref 0 in
+    while !p < block_end do
+      let w = get_le64 d !p in
+      acc :=
+        !acc
+        + (Int64.to_int w land lanes)
+        + (Int64.to_int (Int64.shift_right_logical w 16) land lanes);
+      p := !p + 8
+    done;
+    sum := !sum + (!acc land 0xFFFF_FFFF) + (!acc lsr 32)
   done;
+  while stop - !p >= 2 do
+    sum := !sum + Bytes.get_uint16_le d !p;
+    p := !p + 2
+  done;
+  if !p < stop then sum := !sum + Char.code (Bytes.unsafe_get d !p);
   !sum
 
 let checksum t ~addr ~len =

@@ -87,6 +87,59 @@ let test_mem_checksum_odd_len () =
   check int "odd trailing byte" (lnot s land 0xFFFF)
     (Phys_mem.checksum m ~addr:0 ~len:3)
 
+(* The definition [Phys_mem.checksum_add] must keep: byte at an even
+   global index adds itself, one at an odd index adds itself shifted left
+   by 8. *)
+let checksum_add_bytewise mem ~addr ~len ~index sum =
+  let s = ref sum in
+  for i = 0 to len - 1 do
+    let b = Phys_mem.read_u8 mem (addr + i) in
+    s := !s + if (index + i) land 1 = 0 then b else b lsl 8
+  done;
+  !s
+
+let prop_checksum_add_bytewise =
+  (* Unaligned addresses, lengths 0-3000, both index parities and a
+     non-zero running sum; a random two-chunk split must sum the same as
+     one call. *)
+  let gen =
+    QCheck.Gen.(
+      pair
+        (quad (int_bound 4095) (int_bound 3000) (int_bound 1_000_000)
+           (int_range 1 (1 lsl 40)))
+        (pair (int_bound 3000) (int_bound 0xFFFF)))
+  in
+  QCheck.Test.make ~name:"checksum_add matches byte loop" ~count:300
+    (QCheck.make gen ~print:(fun ((addr, len, index, sum), (cut, seed)) ->
+         Printf.sprintf "addr=%d len=%d index=%d sum=%d cut=%d seed=%d" addr
+           len index sum cut seed))
+    (fun ((addr, len, index, sum), (cut, seed)) ->
+      let mem = Phys_mem.create ~size:8192 in
+      for i = 0 to 8191 do
+        Phys_mem.write_u8 mem i (((i * 7919) + (seed * 31)) lxor (i lsr 5))
+      done;
+      let cut = if len = 0 then 0 else cut mod (len + 1) in
+      let whole = Phys_mem.checksum_add mem ~addr ~len ~index sum in
+      let split =
+        Phys_mem.checksum_add mem ~addr:(addr + cut) ~len:(len - cut)
+          ~index:(index + cut)
+          (Phys_mem.checksum_add mem ~addr ~len:cut ~index sum)
+      in
+      whole = checksum_add_bytewise mem ~addr ~len ~index sum && split = whole)
+
+let test_mem_checksum_long_run () =
+  (* 1 MiB of 0xFF bytes from an odd address: enough words that the
+     word-wide kernel must fold its lane accumulator several times. *)
+  let mem = Phys_mem.create ~size:(1 lsl 21) in
+  Phys_mem.fill mem ~addr:0 ~len:(1 lsl 21) 0xFF;
+  List.iter
+    (fun index ->
+      check int
+        (Printf.sprintf "index %d" index)
+        (checksum_add_bytewise mem ~addr:3 ~len:(1 lsl 20) ~index 5)
+        (Phys_mem.checksum_add mem ~addr:3 ~len:(1 lsl 20) ~index 5))
+    [ 0; 1 ]
+
 (* -- ISA encode/decode -- *)
 
 let reg_gen = QCheck.Gen.int_bound 15
@@ -1398,32 +1451,42 @@ let jit_workload a =
   Asm.jnz a (Asm.lbl "loop");
   Asm.hlt a
 
+(* Runs [run ~jit] with the translator on and off and checks that every
+   simulated observable agrees: registers, pc, flags, all of memory, the
+   engine clock, the retirement count, busy cycles by category and TLB
+   misses.  Returns the translator-on machine for further checks. *)
+let check_jit_on_off name (run : jit:bool -> Machine.t) =
+  let on = run ~jit:true and off = run ~jit:false in
+  let obs m =
+    let cpu = Machine.cpu m and mem = Machine.mem m in
+    ( List.init Isa.num_regs (Cpu.read_reg cpu),
+      (Cpu.pc cpu, Cpu.flags_word cpu),
+      Digest.to_hex
+        (Digest.bytes (Phys_mem.read_bytes mem ~addr:0 ~len:(Phys_mem.size mem))),
+      (Machine.now m, Cpu.instructions_retired cpu),
+      Vmm_sim.Stats.busy_by_category (Machine.load m),
+      Mmu.tlb_misses (Cpu.mmu cpu) )
+  in
+  let regs1, pcf1, mem1, (now1, ret1), busy1, miss1 = obs on in
+  let regs0, pcf0, mem0, (now0, ret0), busy0, miss0 = obs off in
+  let l what = name ^ ": " ^ what in
+  check (Alcotest.list int) (l "registers") regs0 regs1;
+  check (Alcotest.pair int int) (l "pc, flags") pcf0 pcf1;
+  check Alcotest.string (l "memory") mem0 mem1;
+  check Alcotest.int64 (l "engine clock") now0 now1;
+  check Alcotest.int64 (l "retired") ret0 ret1;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
+    (l "busy by category") busy0 busy1;
+  check Alcotest.int64 (l "tlb misses") miss0 miss1;
+  check bool (l "translator engaged") true
+    (Cpu.blocks_compiled (Machine.cpu on) > 0);
+  on
+
 let test_jit_on_off_identical () =
-  (* Same program, same cycle budget, translator on vs off: every
-     architectural observable — clock, retirement count, busy cycles,
-     registers, pc, flags — must be bit-identical. *)
-  let observe jit =
-    let m, _ = run_batched ~jit ~cycles:200_000L jit_workload in
-    let cpu = Machine.cpu m in
-    ( Machine.now m,
-      Cpu.instructions_retired cpu,
-      Vmm_sim.Stats.busy_cycles (Machine.load m),
-      List.map (fun r -> Cpu.read_reg cpu r) [ 1; 4; 5; 6; 7; 8 ],
-      Cpu.pc cpu,
-      Cpu.flags_word cpu,
-      Cpu.blocks_compiled cpu > 0 )
-  in
-  let now_on, ret_on, busy_on, regs_on, pc_on, fl_on, compiled = observe true in
-  let now_off, ret_off, busy_off, regs_off, pc_off, fl_off, _ =
-    observe false
-  in
-  check bool "translator engaged" true compiled;
-  check bool "same clock" true (now_on = now_off);
-  check bool "same retirement count" true (ret_on = ret_off);
-  check bool "same busy cycles" true (busy_on = busy_off);
-  check bool "same registers" true (regs_on = regs_off);
-  check int "same pc" pc_off pc_on;
-  check int "same flags" fl_off fl_on
+  ignore
+    (check_jit_on_off "workload" (fun ~jit ->
+         fst (run_batched ~jit ~cycles:200_000L jit_workload)))
 
 let test_jit_self_modifying () =
   (* The guest patches an instruction inside a block it already
@@ -1623,6 +1686,196 @@ let test_jit_set_ptb_remap () =
   Machine.run_for m ~cycles:20_000L;
   check int "new frame's code" 22 (reg m 1)
 
+(* -- COPY and CSUM as compiled ops -- *)
+
+let test_jit_copy_over_own_block () =
+  (* Each lap a COPY writes a fresh instruction over [site], later in its
+     own block, and a second COPY puts the stale one back.  The compiled
+     chain must stop at the COPY and run the fresh bytes.  The budget
+     ends mid-loop, so the chain must also stop on the same boundary. *)
+  let m =
+    check_jit_on_off "copy over own block" (fun ~jit ->
+        fst
+          (run_batched ~jit ~cycles:100_000L (fun a ->
+               Asm.movi a 3 (Asm.imm Isa.width);
+               Asm.label a "loop";
+               Asm.movi a 1 (Asm.lbl "site");
+               Asm.movi a 2 (Asm.lbl "fresh");
+               Asm.copy a 1 2 3;
+               Asm.label a "site";
+               Asm.movi a 5 (Asm.imm 1);
+               Asm.add a 7 7 5;
+               Asm.movi a 2 (Asm.lbl "stale");
+               Asm.copy a 1 2 3;
+               Asm.addi a 8 8 (Asm.imm 1);
+               Asm.jmp a (Asm.lbl "loop");
+               Asm.label a "fresh";
+               Asm.movi a 5 (Asm.imm 99);
+               Asm.label a "stale";
+               Asm.movi a 5 (Asm.imm 1))))
+  in
+  check bool "looped" true (reg m 8 > 100);
+  check int "fresh bytes ran every lap" (99 * reg m 8) (reg m 7);
+  (* Nothing in the loop takes the interpreter: both COPYs compiled. *)
+  check int "no COPY fell back" 0 (Cpu.block_fallbacks (Machine.cpu m))
+
+let test_jit_copy_csum_fault_lw () =
+  (* Under the LW-VMM every guest page is filled into the shadow tables
+     on first touch.  The COPY's destination and the CSUM's range start
+     on touched pages and run into untouched ones, so both fault on
+     their second page after finishing the first chunk; the monitor
+     fills the page and the instruction restarts from the top. *)
+  let dst = 0x11000 - 20 and sum_at = 0x13000 - 30 in
+  let mon_stats = ref [] in
+  let m =
+    check_jit_on_off "copy/csum fault under lw-vmm" (fun ~jit ->
+        let m = Machine.create () in
+        let mon = Core.Monitor.install m in
+        let a = Asm.create ~origin:0x1000 () in
+        Asm.movi a 1 (Asm.imm 0x10000);
+        Asm.st a 1 0 1;
+        Asm.movi a 1 (Asm.imm 0x12000);
+        Asm.ld a 4 1 0;
+        Asm.movi a 1 (Asm.imm dst);
+        Asm.movi a 2 (Asm.imm 0x1000);
+        Asm.movi a 3 (Asm.imm 100);
+        Asm.copy a 1 2 3;
+        Asm.movi a 6 (Asm.imm sum_at);
+        Asm.movi a 3 (Asm.imm 200);
+        Asm.csum a 9 6 3;
+        Asm.hlt a;
+        Core.Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
+        Cpu.set_jit_enabled (Machine.cpu m) jit;
+        Machine.run_for m ~cycles:200_000L;
+        mon_stats := Core.Monitor.stats mon :: !mon_stats;
+        m)
+  in
+  (match !mon_stats with
+   | [ off; on ] ->
+     check bool "same monitor statistics" true (on = off);
+     check bool "second pages filled on fault" true
+       (on.Core.Monitor.shadow_fills >= 5)
+   | _ -> Alcotest.fail "expected two runs");
+  let mem = Machine.mem m in
+  check bool "copied" true
+    (Phys_mem.read_bytes mem ~addr:dst ~len:100
+    = Phys_mem.read_bytes mem ~addr:0x1000 ~len:100);
+  check int "checksum" (Phys_mem.checksum mem ~addr:sum_at ~len:200) (reg m 9)
+
+(* Paging on.  The guest first points its code page's PTE at another
+   frame, 0x3000, whose copy of the code differs in one instruction; the
+   stale TLB entry keeps fetches on 0x1000.  A COPY from [src] to [dst]
+   then touches virtual page 0x101, which shares the code page's
+   direct-mapped TLB slot, so the interpreter's next fetch uses the new
+   PTE and runs the instruction from 0x3000.  The compiled chain must
+   stop after the COPY rather than run on from the stale block. *)
+let check_copy_code_tlb name ~dst ~src =
+  let program () =
+    let a = Asm.create ~origin:0x1000 () in
+    Asm.movi a 1 (Asm.imm 0x40000);
+    Asm.lptb a 1;
+    Asm.movi a 1 (Asm.imm (0x41000 + 4));
+    Asm.movi a 2
+      (Asm.imm (Mmu.make_pte ~frame:0x3000 ~writable:true ~user:false));
+    Asm.st a 1 0 2;
+    Asm.movi a 1 (Asm.imm dst);
+    Asm.movi a 2 (Asm.imm src);
+    Asm.movi a 3 (Asm.imm 64);
+    Asm.copy a 1 2 3;
+    Asm.label a "after";
+    Asm.movi a 6 (Asm.imm 1);
+    Asm.hlt a;
+    Asm.assemble a
+  in
+  let m =
+    check_jit_on_off name (fun ~jit ->
+        let m = fresh_machine () in
+        let mem = Machine.mem m in
+        Cpu.set_jit_enabled (Machine.cpu m) jit;
+        build_identity_tables mem ~pd:0x40000 ~pt:0x41000 ~mbytes:2
+          ~user:false;
+        let p = program () in
+        Machine.boot m p ~entry:0x1000;
+        Phys_mem.load_bytes mem ~addr:0x3000 p.Asm.code;
+        Isa.write mem (0x3000 + Asm.symbol p "after" - 0x1000) (Isa.Movi (6, 2));
+        Machine.run_for m ~cycles:10_000L;
+        m)
+  in
+  check int (name ^ ": ran the remapped frame's instruction") 2 (reg m 6)
+
+(* The read of page 0x101 evicts the code page's entry for good. *)
+let test_jit_copy_evicts_code_tlb () =
+  check_copy_code_tlb "copy evicts code tlb" ~dst:0x20000 ~src:0x101000
+
+(* Each chunk translates its source, evicting the code page's entry, then
+   its destination on the code page (past the program's text), which
+   walks the entry back in from the new PTE: the slot holds the code page
+   again, now mapped to 0x3000. *)
+let test_jit_copy_refills_code_tlb () =
+  check_copy_code_tlb "copy refills code tlb" ~dst:0x1800 ~src:0x101000
+
+let test_jit_csum_odd_first_chunk () =
+  (* The range starts 5 bytes before a page end, so the second chunk
+     begins at an odd global index. *)
+  let at = 0x10FFB and len = 1458 in
+  let m =
+    check_jit_on_off "csum odd first chunk" (fun ~jit ->
+        let m = fresh_machine () in
+        let mem = Machine.mem m in
+        for i = 0 to len - 1 do
+          Phys_mem.write_u8 mem (at + i) ((i * 131) lxor (i lsr 3))
+        done;
+        Cpu.set_jit_enabled (Machine.cpu m) jit;
+        let a = Asm.create ~origin:0x1000 () in
+        Asm.movi a 1 (Asm.imm at);
+        Asm.movi a 3 (Asm.imm len);
+        Asm.label a "loop";
+        Asm.csum a 4 1 3;
+        Asm.add a 5 5 4;
+        Asm.addi a 8 8 (Asm.imm 1);
+        Asm.jmp a (Asm.lbl "loop");
+        Machine.boot m (Asm.assemble a) ~entry:0x1000;
+        (* the budget ends mid-loop: the chain must stop where the
+           interpreter does *)
+        Machine.run_for m ~cycles:500_000L;
+        m)
+  in
+  check int "checksum" (Phys_mem.checksum (Machine.mem m) ~addr:at ~len) (reg m 4);
+  check bool "looped" true (reg m 8 > 10);
+  check int "every lap" (reg m 8 * reg m 4) (reg m 5)
+
+let test_jit_copy_forward_chunks () =
+  (* docs/ISA.md: COPY is a forward copy in page chunks, and only within
+     a chunk do overlapping ranges behave like memmove.  With dst = src +
+     1 across a page end, the byte moved into the second page was
+     already overwritten by the first chunk, so from 0x11000 on the
+     result differs from memmove. *)
+  let src = 0x10FF6 in
+  let m =
+    check_jit_on_off "copy forward chunks" (fun ~jit ->
+        let m = fresh_machine () in
+        let mem = Machine.mem m in
+        for i = 0 to 20 do
+          Phys_mem.write_u8 mem (src + i) i
+        done;
+        Cpu.set_jit_enabled (Machine.cpu m) jit;
+        let a = Asm.create ~origin:0x1000 () in
+        Asm.movi a 1 (Asm.imm (src + 1));
+        Asm.movi a 2 (Asm.imm src);
+        Asm.movi a 3 (Asm.imm 20);
+        Asm.copy a 1 2 3;
+        Asm.hlt a;
+        Machine.boot m (Asm.assemble a) ~entry:0x1000;
+        Machine.run_for m ~cycles:10_000L;
+        m)
+  in
+  let got =
+    List.init 21 (fun i -> Phys_mem.read_u8 (Machine.mem m) (src + i))
+  in
+  check (Alcotest.list int) "forward page-chunked result"
+    [ 0; 0; 1; 2; 3; 4; 5; 6; 7; 8; 8; 8; 11; 12; 13; 14; 15; 16; 17; 18; 19 ]
+    got
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1640,7 +1893,10 @@ let () =
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
           Alcotest.test_case "checksum" `Quick test_mem_checksum_matches_rfc;
           Alcotest.test_case "checksum odd" `Quick test_mem_checksum_odd_len;
-        ] );
+          Alcotest.test_case "checksum long run" `Quick
+            test_mem_checksum_long_run;
+        ]
+        @ qsuite [ prop_checksum_add_bytewise ] );
       ( "isa",
         [
           Alcotest.test_case "decode error" `Quick test_isa_decode_error;
@@ -1761,6 +2017,18 @@ let () =
             test_jit_interpreter_only_head;
           Alcotest.test_case "interpreter allocation" `Quick
             test_interpreter_alloc;
+          Alcotest.test_case "copy over own block" `Quick
+            test_jit_copy_over_own_block;
+          Alcotest.test_case "copy/csum fault under lw-vmm" `Quick
+            test_jit_copy_csum_fault_lw;
+          Alcotest.test_case "copy evicts code tlb" `Quick
+            test_jit_copy_evicts_code_tlb;
+          Alcotest.test_case "copy refills code tlb" `Quick
+            test_jit_copy_refills_code_tlb;
+          Alcotest.test_case "csum odd first chunk" `Quick
+            test_jit_csum_odd_first_chunk;
+          Alcotest.test_case "copy forward chunks" `Quick
+            test_jit_copy_forward_chunks;
         ] );
       ( "properties",
         qsuite [ prop_mmu_probe_agrees_with_translate; prop_disassembly_roundtrip ] );
