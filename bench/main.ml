@@ -30,6 +30,13 @@ module Hw_simulator = Vmm_baseline.Hw_simulator
 
 module Json = Vmm_obs.Json
 
+(* LWVMM_JIT=0 builds every machine with the block translator off, so
+   the whole suite runs in the per-instruction interpreter; anything
+   else (including unset) leaves it on.  Simulated results must not
+   depend on it — CI runs the smoke suite both ways. *)
+let env_jit =
+  match Sys.getenv_opt "LWVMM_JIT" with Some "0" -> false | Some _ | None -> true
+
 let section title =
   Printf.printf "\n==================================================\n";
   Printf.printf "%s\n" title;
@@ -134,7 +141,9 @@ let fig3_1 () =
         let row =
           List.map
             (fun sys ->
-              let m, _ = Workload.run sys ~rate_mbps:rate ~duration_s:0.25 in
+              let m, _ =
+                Workload.run ~jit:env_jit sys ~rate_mbps:rate ~duration_s:0.25
+              in
               m)
             Workload.all_systems
         in
@@ -204,7 +213,7 @@ let fig3_1 () =
 let headline () =
   section "E2 -- maximum sustainable transfer rate (paper Section 3 text)";
   let max_of sys =
-    Workload.max_sustainable_rate ~duration_s:0.2 sys ~lo:5.0 ~hi:1000.0
+    Workload.max_sustainable_rate ~jit:env_jit ~duration_s:0.2 sys ~lo:5.0 ~hi:1000.0
       ~steps:11
   in
   let bare = max_of Workload.Bare_metal in
@@ -272,7 +281,7 @@ let bug_name = function
 
 let lw_survives bug =
   let machine =
-    Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+    Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
   in
   let monitor = Monitor.install machine in
   Monitor.boot_guest monitor (buggy_guest bug) ~entry:0x1000;
@@ -282,7 +291,7 @@ let lw_survives bug =
 
 let embedded_survives bug =
   let machine =
-    Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+    Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
   in
   let agent = Embedded.attach machine ~region:0x80000 in
   Machine.boot machine (buggy_guest bug) ~entry:0x1000;
@@ -395,7 +404,9 @@ let gauntlet_campaign ?replay ~seed () =
   let rng = Rng.create ~seed in
   let cyc s = Costs.cycles_of_seconds bench_costs s in
   (* -- lightweight VMM under fire -- *)
-  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs () in
+  let m =
+    Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+  in
   let recorder = Machine.recorder m in
   (match replay with
    | None -> Recorder.start_record recorder
@@ -490,7 +501,7 @@ let gauntlet_campaign ?replay ~seed () =
   (* -- embedded baseline under the equivalent mix -- *)
   let embedded_survived =
     let m2 =
-      Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+      Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
     in
     let agent = Embedded.attach m2 ~region:0x80000 in
     let bug =
@@ -718,7 +729,7 @@ let gauntlet () =
 let customize () =
   section "E4 -- debugging-environment comparison (paper Section 1)";
   let max_of sys =
-    Workload.max_sustainable_rate ~duration_s:0.2 sys ~lo:5.0 ~hi:1000.0
+    Workload.max_sustainable_rate ~jit:env_jit ~duration_s:0.2 sys ~lo:5.0 ~hi:1000.0
       ~steps:8
   in
   let bare = max_of Workload.Bare_metal in
@@ -757,10 +768,13 @@ let debugload () =
   List.iter
     (fun rate ->
       let base, _ =
-        Workload.run Workload.Lightweight_vmm ~rate_mbps:rate ~duration_s:0.2
+        Workload.run ~jit:env_jit Workload.Lightweight_vmm ~rate_mbps:rate
+          ~duration_s:0.2
       in
       let config = Kernel.default_config ~rate_mbps:rate in
-      let ctx, _program = Workload.prepare Workload.Lightweight_vmm ~config in
+      let ctx, _program =
+        Workload.prepare ~jit:env_jit Workload.Lightweight_vmm ~config
+      in
       let machine = Workload.machine_of ctx in
       let session = Session.attach machine in
       Machine.run_seconds machine 0.05;
@@ -833,7 +847,9 @@ let vbp_arm_sites mon program n =
   done
 
 let vbp_run ~sites =
-  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs () in
+  let m =
+    Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+  in
   let mon = Monitor.install m in
   let p = vbp_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
@@ -845,7 +861,9 @@ let vbp_run ~sites =
    the hot loop over the wire and measure cycles from the resume that
    follows the OK to the Break notification leaving the stub. *)
 let vbp_hit_cycles ~sites =
-  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs () in
+  let m =
+    Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs ()
+  in
   let mon = Monitor.install m in
   let p = vbp_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
@@ -928,7 +946,7 @@ let ablation_trap () =
   let default_ws = Costs.default.Costs.world_switch in
   let rate_for ws =
     let costs = { Costs.default with Costs.world_switch = ws } in
-    Workload.max_sustainable_rate ~costs ~duration_s:0.2
+    Workload.max_sustainable_rate ~jit:env_jit ~costs ~duration_s:0.2
       Workload.Lightweight_vmm ~lo:5.0 ~hi:1000.0 ~steps:9
   in
   let default_rate = rate_for default_ws in
@@ -948,7 +966,7 @@ let ablation_passthrough () =
      (isolates the design decision behind the 5.4x)";
   let measure ~passthrough label =
     let config = Kernel.default_config ~rate_mbps:100.0 in
-    let machine = Machine.create ~mem_size:(16 * 1024 * 1024) () in
+    let machine = Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) () in
     let monitor = Monitor.install ~passthrough machine in
     Monitor.boot_guest monitor (Kernel.build config) ~entry:Kernel.entry;
     Machine.run_seconds machine 0.05;
@@ -995,7 +1013,7 @@ let ablation_usermode () =
         let config =
           { (Kernel.default_config ~rate_mbps:50.0) with Kernel.user_mode = user }
         in
-        let ctx, program = Workload.prepare sys ~config in
+        let ctx, program = Workload.prepare ~jit:env_jit sys ~config in
         Workload.measure ctx program ~config ~warmup_s:0.05 ~duration_s:0.2
       in
       let kernel = run false and user = run true in
@@ -1032,7 +1050,7 @@ let ablation_segment () =
                 Kernel.segment_bytes = kib * 1024;
               }
             in
-            let ctx, program = Workload.prepare sys ~config in
+            let ctx, program = Workload.prepare ~jit:env_jit sys ~config in
             let m =
               Workload.measure ctx program ~config ~warmup_s:0.05
                 ~duration_s:0.2
@@ -1072,7 +1090,7 @@ let sim_speed () =
   in
   let measure ~jit sys =
     let config = Kernel.default_config ~rate_mbps:100.0 in
-    let ctx, _program = Workload.prepare sys ~config in
+    let ctx, _program = Workload.prepare ~jit:env_jit sys ~config in
     let machine = Workload.machine_of ctx in
     let cpu = Machine.cpu machine in
     Cpu.set_jit_enabled cpu jit;
@@ -1131,7 +1149,7 @@ let sim_speed () =
      guards) the block translator's speedup. *)
   let cpu_bound_name = "cpu-bound loop" in
   let measure_cpu_bound ~jit =
-    let m = Machine.create ~mem_size:(2 * 1024 * 1024) () in
+    let m = Machine.create ~jit:env_jit ~mem_size:(2 * 1024 * 1024) () in
     let cpu = Machine.cpu m in
     Cpu.set_jit_enabled cpu jit;
     let a = Asm.create ~origin:0x1000 () in
@@ -1289,7 +1307,7 @@ let profile_bench () =
   in
   let run_once ~profiled =
     let config = Kernel.default_config ~rate_mbps:100.0 in
-    let ctx, _program = Workload.prepare Workload.Lightweight_vmm ~config in
+    let ctx, _program = Workload.prepare ~jit:env_jit Workload.Lightweight_vmm ~config in
     let machine = Workload.machine_of ctx in
     if profiled then Machine.set_profiling machine ~period;
     Machine.run_seconds machine 0.05 (* warmup *);
@@ -1553,7 +1571,7 @@ let micro () =
   section "M1 -- microbenchmarks (host-side wall time per operation)";
   let open Bechamel in
   let step_machine =
-    let machine = Machine.create ~mem_size:(2 * 1024 * 1024) () in
+    let machine = Machine.create ~jit:env_jit ~mem_size:(2 * 1024 * 1024) () in
     let a = Asm.create ~origin:0x1000 () in
     Asm.label a "loop";
     Asm.addi a 1 1 (Asm.imm 1);
@@ -1563,7 +1581,7 @@ let micro () =
       (Staged.stage (fun () -> ignore (Machine.run_steps machine 1000)))
   in
   let world_switch =
-    let machine = Machine.create ~mem_size:(16 * 1024 * 1024) () in
+    let machine = Machine.create ~jit:env_jit ~mem_size:(16 * 1024 * 1024) () in
     let monitor = Monitor.install machine in
     let a = Asm.create ~origin:0x1000 () in
     Asm.label a "loop";
@@ -1601,7 +1619,7 @@ let micro () =
      the streaming kernel's per-frame data path, at unaligned
      addresses. *)
   let frame_op name op =
-    let machine = Machine.create ~mem_size:(2 * 1024 * 1024) () in
+    let machine = Machine.create ~jit:env_jit ~mem_size:(2 * 1024 * 1024) () in
     let cpu = Machine.cpu machine in
     let a = Asm.create ~origin:0x1000 () in
     Asm.movi a 1 (Asm.imm 0x20001);

@@ -52,6 +52,13 @@ let profile_period ~default =
      | Some p when Int64.compare p 0L > 0 -> Some p
      | Some _ | None -> Some Vmm_profile.Profiler.default_period)
 
+(* LWVMM_JIT=0 runs every instruction through the per-instruction
+   interpreter; anything else (including unset) leaves the block
+   translator on.  Both modes are architecturally identical, so a trace
+   recorded in either mode replays in either mode (the CI golden-trace
+   job replays once with LWVMM_JIT=0 to prove it). *)
+let jit = match Sys.getenv_opt "LWVMM_JIT" with Some "0" -> false | Some _ | None -> true
+
 let arm_profiler machine ~default =
   match profile_period ~default with
   | Some period -> Machine.set_profiling machine ~period
@@ -62,7 +69,7 @@ let run rate fast_uart lossy script =
     if fast_uart then { Costs.default with Costs.uart_cycles_per_byte = 2000 }
     else Costs.default
   in
-  let machine = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs () in
+  let machine = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs ~jit () in
   let monitor = Monitor.install machine in
   (* Interactive sessions profile by default (the `profile` command then
      has something to show); LWVMM_PROFILE=0 switches it off. *)
@@ -312,7 +319,7 @@ module Snapshot = Core.Snapshot
 
 let drive ~mode ~seed ~seconds =
   let costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 } in
-  let machine = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs () in
+  let machine = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs ~jit () in
   let monitor = Monitor.install machine in
   (* Off unless LWVMM_PROFILE asks for it: record/replay converge either
      way, and CI replays the golden trace once with profiling on to prove

@@ -611,26 +611,12 @@ let emulate_io t port pc =
   t.c_io <- t.c_io + 1;
   flight_note t "monitor.io" (Flight.Io { port; pc });
   world_switch t;
-  let next = (pc + Isa.width) land 0xFFFFFFFF in
-  match Cpu.read_instr t.cpu pc with
-  | Isa.In_ (rd, _) | Isa.Ini (rd, _) ->
-    Cpu.write_reg t.cpu rd (emulated_in t port);
-    Cpu.set_pc t.cpu next
-  | Isa.Out (_, rs) ->
-    emulated_out t port (Cpu.read_reg t.cpu rs);
-    Cpu.set_pc t.cpu next
-  | Isa.Outi (_, rs) ->
-    emulated_out t port (Cpu.read_reg t.cpu rs);
-    Cpu.set_pc t.cpu next
-  | Isa.Nop | Isa.Hlt | Isa.Movi _ | Isa.Mov _ | Isa.Add _ | Isa.Addi _
-  | Isa.Sub _ | Isa.And_ _ | Isa.Or_ _ | Isa.Xor_ _ | Isa.Shl _ | Isa.Shr _
-  | Isa.Mul _ | Isa.Cmp _ | Isa.Cmpi _ | Isa.Ld _ | Isa.St _ | Isa.Ldb _
-  | Isa.Stb _ | Isa.Jmp _ | Isa.Jz _ | Isa.Jnz _ | Isa.Jlt _ | Isa.Jge _
-  | Isa.Jb _ | Isa.Jae _ | Isa.Jr _ | Isa.Call _ | Isa.Ret | Isa.Push _
-  | Isa.Pop _ | Isa.Int_ _ | Isa.Iret | Isa.Sti | Isa.Cli | Isa.Liht _
-  | Isa.Lptb _ | Isa.Lstk _ | Isa.Tlbflush | Isa.Copy _ | Isa.Csum _
-  | Isa.Rdtsc _ | Isa.Vmcall _ | Isa.Brk ->
-    escalate t ~vector:Isa.vec_protection ~pc
+  (* The trapped IN/OUT left its direction and register on the CPU. *)
+  let cpu = t.cpu in
+  let reg = Cpu.io_reg cpu in
+  if Cpu.io_is_in cpu then Cpu.write_reg cpu reg (emulated_in t port)
+  else emulated_out t port (Cpu.read_reg cpu reg);
+  Cpu.set_pc cpu ((pc + Isa.width) land 0xFFFFFFFF)
 
 (* -- Shadow page-fault handling -- *)
 

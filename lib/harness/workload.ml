@@ -48,9 +48,9 @@ let system_of_context = function
   | Ctx_lw _ -> Lightweight_vmm
   | Ctx_full _ -> Hosted_full_vmm
 
-let prepare ?(costs = Costs.default) ?(mem_size = 16 * 1024 * 1024) system
-    ~config =
-  let m = Machine.create ~mem_size ~costs () in
+let prepare ?(costs = Costs.default) ?(mem_size = 16 * 1024 * 1024) ?jit
+    system ~config =
+  let m = Machine.create ~mem_size ~costs ?jit () in
   let program = Kernel.build config in
   let ctx =
     match system with
@@ -136,13 +136,13 @@ let measure ctx program ~config ~warmup_s ~duration_s =
     irq_latency_p99 = percentile 99.0;
   }
 
-let run ?costs ?mem_size ?(warmup_s = 0.05) system ~rate_mbps ~duration_s =
+let run ?costs ?mem_size ?jit ?(warmup_s = 0.05) system ~rate_mbps ~duration_s =
   let config = Kernel.default_config ~rate_mbps in
-  let ctx, program = prepare ?costs ?mem_size system ~config in
+  let ctx, program = prepare ?costs ?mem_size ?jit system ~config in
   let m = measure ctx program ~config ~warmup_s ~duration_s in
   (m, ctx)
 
-let sustains ?costs ~duration_s system rate =
+let sustains ?costs ?jit ~duration_s system rate =
   (* Widen the window at low rates so it covers enough segments that
      quantization noise cannot mask a sustained rate. *)
   let config = Kernel.default_config ~rate_mbps:rate in
@@ -150,17 +150,17 @@ let sustains ?costs ~duration_s system rate =
     float_of_int (8 * config.Kernel.segment_bytes) /. (rate *. 1e6)
   in
   let duration_s = max duration_s (20.0 *. segment_s) in
-  let m, _ = run ?costs system ~rate_mbps:rate ~duration_s in
+  let m, _ = run ?costs ?jit system ~rate_mbps:rate ~duration_s in
   m.achieved_mbps >= 0.95 *. rate && m.cpu_load < 0.99
 
-let max_sustainable_rate ?costs ?(duration_s = 0.2) system ~lo ~hi ~steps =
+let max_sustainable_rate ?costs ?jit ?(duration_s = 0.2) system ~lo ~hi ~steps =
   let rec bisect lo hi steps =
     if steps = 0 then lo
     else
       let mid = (lo +. hi) /. 2.0 in
-      if sustains ?costs ~duration_s system mid then bisect mid hi (steps - 1)
+      if sustains ?costs ?jit ~duration_s system mid then bisect mid hi (steps - 1)
       else bisect lo mid (steps - 1)
   in
-  if sustains ?costs ~duration_s system hi then hi
-  else if not (sustains ?costs ~duration_s system lo) then lo
+  if sustains ?costs ?jit ~duration_s system hi then hi
+  else if not (sustains ?costs ?jit ~duration_s system lo) then lo
   else bisect lo hi steps

@@ -38,11 +38,13 @@ type context =
 
 val machine_of : context -> Vmm_hw.Machine.t
 
-(** [prepare ?costs ?mem_size system ~config] builds a machine, installs
-    the system and boots the guest kernel. *)
+(** [prepare ?costs ?mem_size ?jit system ~config] builds a machine
+    ([jit] as in {!Vmm_hw.Machine.create}), installs the system and boots
+    the guest kernel. *)
 val prepare :
   ?costs:Vmm_hw.Costs.t ->
   ?mem_size:int ->
+  ?jit:bool ->
   system ->
   config:Vmm_guest.Kernel.config ->
   context * Vmm_hw.Asm.program
@@ -62,6 +64,7 @@ val measure :
 val run :
   ?costs:Vmm_hw.Costs.t ->
   ?mem_size:int ->
+  ?jit:bool ->
   ?warmup_s:float ->
   system ->
   rate_mbps:float ->
@@ -73,6 +76,7 @@ val run :
     with CPU load < 99%); used for the paper's 5.4x / 26% headline. *)
 val max_sustainable_rate :
   ?costs:Vmm_hw.Costs.t ->
+  ?jit:bool ->
   ?duration_s:float ->
   system ->
   lo:float ->

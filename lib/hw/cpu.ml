@@ -33,18 +33,16 @@ exception Fault_exn of fault_kind
    memory write generations captured at fill time and the CPU-wide flush
    generation.  An 8-byte instruction can touch two generation granules;
    the sum of both granule generations is stored — generations only grow,
-   so any store under either granule makes the sum diverge for good. *)
+   so any store under either granule makes the sum diverge for good.  The
+   slot holds the instruction compiled into an op (see [compile]). *)
 type icache_slot = {
   mutable itag : int; (* physical address, -1 = invalid *)
   mutable igen : int; (* summed Phys_mem granule generations at fill *)
   mutable iflush : int; (* icache_gen at fill *)
-  mutable idecoded : Isa.instr;
+  mutable iop : t -> unit;
 }
 
-let icache_slots = 2048
-let icache_mask = icache_slots - 1
-
-type t = {
+and t = {
   mem : Phys_mem.t;
   mem_size : int;
   bus : Io_bus.t;
@@ -110,6 +108,11 @@ type t = {
   mutable jb_inval : int;
   mutable jb_chains : int;
   mutable jb_fallbacks : int;
+  (* Operand of the last IN/OUT begun: its direction and its register
+     (destination of an IN, source of an OUT).  Written before the port
+     check, so the monitor's hook for an I/O trap reads it there. *)
+  mutable io_in : bool;
+  mutable io_reg : int;
 }
 
 (* Compiled basic block: a straight-line decoded run (optionally ending
@@ -134,6 +137,8 @@ and jblock = {
 let no_block =
   { jb_ppc = -1; jb_bytes = 0; jb_gsum = 0; jb_flush = -1; jb_entry = ignore }
 
+let icache_slots = 2048
+let icache_mask = icache_slots - 1
 let table_entries = 64
 let jcache_slots = 1024
 let jcache_mask = jcache_slots - 1
@@ -181,7 +186,7 @@ let create ~mem ~bus ~engine ~costs ~load () =
     fetch_buf = Bytes.make Isa.width '\000';
     icache =
       Array.init icache_slots (fun _ ->
-          { itag = -1; igen = 0; iflush = 0; idecoded = Isa.Nop });
+          { itag = -1; igen = 0; iflush = 0; iop = ignore });
     icache_gen = 0;
     ic_hits = 0;
     ic_misses = 0;
@@ -199,6 +204,8 @@ let create ~mem ~bus ~engine ~costs ~load () =
     jb_inval = 0;
     jb_chains = 0;
     jb_fallbacks = 0;
+    io_in = false;
+    io_reg = 0;
   }
 
 let set_pic t ~ack ~pending =
@@ -258,6 +265,8 @@ let halted t = t.halted
 let set_halted t v = t.halted <- v
 let stopped t = t.stopped
 let set_stopped t v = t.stopped <- v
+let io_is_in t = t.io_in
+let io_reg t = t.io_reg
 
 (* -- I/O permission bitmap -- *)
 
@@ -331,14 +340,6 @@ let store_u32 t ~cpl vaddr v =
         ((v lsr (8 * i)) land 0xFF)
     done
 
-let load_u8 t ~cpl vaddr =
-  Phys_mem.read_u8 t.mem (translate t ~access:Mmu.Read ~cpl (Word.mask vaddr))
-
-let store_u8 t ~cpl vaddr v =
-  Phys_mem.write_u8 t.mem
-    (translate t ~access:Mmu.Write ~cpl (Word.mask vaddr))
-    v
-
 (* -- Interrupt table -- *)
 
 type gate = { handler : int; present : bool; ring : int; dpl : int }
@@ -405,11 +406,16 @@ let vector_and_error = function
   | Step_trap -> (Isa.vec_debug_step, 0)
   | Machine_check addr -> (Isa.vec_machine_check, Word.mask addr)
 
-let hw_deliver_fault t kind ~return_pc =
-  let vector, error = vector_and_error kind in
+(* Delivery through the CPU's own table, outside any op: a fault while
+   pushing the frame has nowhere to go. *)
+let hw_deliver t ~vector ~error ~return_pc =
   try deliver t ~table:t.iht ~vector ~error ~return_pc with
   | Fault_exn _ | Mmu.Page_fault _ | Phys_mem.Bus_error _ ->
     raise (Panic (Printf.sprintf "double fault delivering vector %d" vector))
+
+let hw_deliver_fault t kind ~return_pc =
+  let vector, error = vector_and_error kind in
+  hw_deliver t ~vector ~error ~return_pc
 
 let dispatch_fault t kind ~return_pc =
   t.faults <- t.faults + 1;
@@ -432,9 +438,8 @@ let poll_interrupts t =
        | Some hook ->
          (match hook t (Irq vector) with
           | Handled -> ()
-          | Deliver ->
-            deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc)
-       | None -> deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc)
+          | Deliver -> hw_deliver t ~vector ~error:0 ~return_pc:t.pc)
+       | None -> hw_deliver t ~vector ~error:0 ~return_pc:t.pc)
 
 let dispatch_soft t ~vector ~next_pc =
   match t.hypervisor with
@@ -451,51 +456,6 @@ let dispatch_soft t ~vector ~next_pc =
     if (not gate.present) || gate.dpl < t.cpl then
       raise (Fault_exn (Gp (Bad_int_gate vector)))
     else deliver t ~table:t.iht ~vector ~error:0 ~return_pc:next_pc
-
-(* -- Fetch -- *)
-
-let fetch_cached t paddr =
-  let slot = Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask) in
-  let pgen =
-    Phys_mem.generation t.mem paddr
-    + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
-  in
-  if slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
-  then begin
-    t.ic_hits <- t.ic_hits + 1;
-    slot.idecoded
-  end
-  else begin
-    if slot.itag = paddr then t.ic_inval <- t.ic_inval + 1;
-    t.ic_misses <- t.ic_misses + 1;
-    let instr = Isa.read t.mem paddr in
-    slot.itag <- paddr;
-    slot.igen <- pgen;
-    slot.iflush <- t.icache_gen;
-    slot.idecoded <- instr;
-    instr
-  end
-
-let fetch t =
-  let pc = t.pc in
-  if pc land 0xFFF <= Mmu.page_size - Isa.width then begin
-    let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
-    if paddr >= 0 && paddr + Isa.width <= t.mem_size then
-      fetch_cached t paddr
-    else
-      (* Translation does not bound physical addresses (identity map when
-         paging is off, PTE frames above RAM), and the generation probe in
-         [fetch_cached] is unchecked — take the checked read, which raises
-         Bus_error and becomes a guest machine check. *)
-      Isa.read t.mem paddr
-  end
-  else begin
-    for i = 0 to Isa.width - 1 do
-      let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl (Word.add pc i) in
-      Bytes.set t.fetch_buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
-    done;
-    Isa.decode ~addr:pc t.fetch_buf ~off:0
-  end
 
 (* -- Port I/O -- *)
 
@@ -515,57 +475,112 @@ let port_out t port v =
   charge t t.costs.port_io;
   Io_bus.write t.bus port v
 
-(* -- Block operations -- *)
+(* -- Accumulated memory access --
 
-(* COPY and CSUM walk their ranges in page chunks, each translated in its
-   own page.  The interpreter and the translator share these walks; [acc]
-   says where the charges go: straight to the engine ([exec]), or into the
-   running chain's accumulator (a compiled op; invariant 1 of the
-   translator below).  The per-byte cost is charged up front and each
-   chunk's TLB misses as it is translated, so a fault on a later page
-   leaves the earlier chunks done and their cycles charged, and the
-   restarted instruction pays again — identically either way. *)
-let[@inline] charge_to t ~acc cycles =
-  if acc then t.jit_cyc <- t.jit_cyc + cycles else charge t cycles
+   Every op charges into the running block's accumulator (invariant 1 of
+   the translator below), so its translations do too: [jit_translate] is
+   [translate] with the TLB-miss penalty landing in [jit_cyc] instead of
+   the engine.  Callers pass already-masked addresses. *)
 
-(* [translate] for a page walk: the TLB-miss penalty goes where [acc]
-   says.  Callers pass already-masked addresses. *)
-let[@inline] walk_translate t ~acc ~access vaddr =
+let jit_translate t ~access vaddr =
   let paddr = Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access vaddr in
-  charge_to t ~acc (drain_penalty t);
+  t.jit_cyc <- t.jit_cyc + drain_penalty t;
   paddr
 
-(* Translation for compiled ops: identical to [translate]/[load_u32]/...
-   except the TLB-miss penalty lands in the accumulator instead of the
-   engine (invariant 1 below). *)
-let jit_translate t ~access vaddr = walk_translate t ~acc:true ~access vaddr
+let jit_load_u32 t vaddr =
+  let vaddr = Word.mask vaddr in
+  if vaddr land 0xFFF <= Mmu.page_size - 4 then
+    Phys_mem.read_u32 t.mem (jit_translate t ~access:Mmu.Read vaddr)
+  else begin
+    let b0 = Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read vaddr) in
+    let b1 =
+      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 1))
+    in
+    let b2 =
+      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 2))
+    in
+    let b3 =
+      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 3))
+    in
+    b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+  end
+
+let jit_load_u8 t vaddr =
+  Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.mask vaddr))
+
+(* Plain store, used by CALL (a transfer: no ops follow, so a store over
+   its block's own text needs no special handling — the next dispatch
+   revalidates). *)
+let jit_store_u32 t vaddr v =
+  let vaddr = Word.mask vaddr in
+  if vaddr land 0xFFF <= Mmu.page_size - 4 then
+    Phys_mem.write_u32 t.mem (jit_translate t ~access:Mmu.Write vaddr) v
+  else
+    for i = 0 to 3 do
+      Phys_mem.write_u8 t.mem
+        (jit_translate t ~access:Mmu.Write (Word.add vaddr i))
+        ((v lsr (8 * i)) land 0xFF)
+    done
+
+(* Straight-line stores report whether they wrote over their block's own
+   text (invariant 4): [true] means the chain must stop before the next
+   op. *)
+let jit_store_u32_chk t ~bppc ~bbytes vaddr v =
+  let vaddr = Word.mask vaddr in
+  if vaddr land 0xFFF <= Mmu.page_size - 4 then begin
+    let p = jit_translate t ~access:Mmu.Write vaddr in
+    Phys_mem.write_u32 t.mem p v;
+    p + 4 > bppc && p < bppc + bbytes
+  end
+  else begin
+    let hit = ref false in
+    for i = 0 to 3 do
+      let p = jit_translate t ~access:Mmu.Write (Word.add vaddr i) in
+      Phys_mem.write_u8 t.mem p ((v lsr (8 * i)) land 0xFF);
+      if p >= bppc && p < bppc + bbytes then hit := true
+    done;
+    !hit
+  end
+
+let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
+  let p = jit_translate t ~access:Mmu.Write (Word.mask vaddr) in
+  Phys_mem.write_u8 t.mem p v;
+  p >= bppc && p < bppc + bbytes
+
+(* COPY and CSUM walk their ranges in page chunks, each translated in its
+   own page.  The per-byte cost is charged up front and each chunk's TLB
+   misses as it is translated, so a fault on a later page leaves the
+   earlier chunks done and their cycles charged, and the restarted
+   instruction pays again. *)
 
 (* A forward copy, chunk after chunk; only within a chunk do overlapping
    ranges behave like memmove (docs/ISA.md). *)
-let copy_block t ~acc ~dst ~src ~len =
-  charge_to t ~acc (Costs.cycles_for_bytes ~per_byte:t.costs.copy_per_byte len);
+let copy_block t ~dst ~src ~len =
+  t.jit_cyc <-
+    t.jit_cyc + Costs.cycles_for_bytes ~per_byte:t.costs.copy_per_byte len;
   let dst = ref (Word.mask dst) and src = ref (Word.mask src) in
   let left = ref len in
   while !left > 0 do
     let src_room = Mmu.page_size - (!src land 0xFFF) in
     let dst_room = Mmu.page_size - (!dst land 0xFFF) in
     let chunk = min !left (min src_room dst_room) in
-    let psrc = walk_translate t ~acc ~access:Mmu.Read !src in
-    let pdst = walk_translate t ~acc ~access:Mmu.Write !dst in
+    let psrc = jit_translate t ~access:Mmu.Read !src in
+    let pdst = jit_translate t ~access:Mmu.Write !dst in
     Phys_mem.blit t.mem ~src:psrc ~dst:pdst ~len:chunk;
     dst := Word.add !dst chunk;
     src := Word.add !src chunk;
     left := !left - chunk
   done
 
-let checksum_block t ~acc ~addr ~len =
-  charge_to t ~acc (Costs.cycles_for_bytes ~per_byte:t.costs.csum_per_byte len);
+let checksum_block t ~addr ~len =
+  t.jit_cyc <-
+    t.jit_cyc + Costs.cycles_for_bytes ~per_byte:t.costs.csum_per_byte len;
   (* Internet checksum with little-endian 16-bit pairing, accumulated chunk
      by chunk so page boundaries keep global byte parity. *)
   let addr = ref (Word.mask addr) and sum = ref 0 and index = ref 0 in
   while !index < len do
     let chunk = min (len - !index) (Mmu.page_size - (!addr land 0xFFF)) in
-    let paddr = walk_translate t ~acc ~access:Mmu.Read !addr in
+    let paddr = jit_translate t ~access:Mmu.Read !addr in
     sum := Phys_mem.checksum_add t.mem ~addr:paddr ~len:chunk ~index:!index !sum;
     index := !index + chunk;
     addr := Word.add !addr chunk
@@ -576,185 +591,14 @@ let checksum_block t ~acc ~addr ~len =
   done;
   lnot !s land 0xFFFF
 
-(* -- Execution -- *)
+(* -- Execution --
 
-let require_ring0 t i =
-  if t.cpl <> 0 then raise (Fault_exn (Gp (Privileged_instruction i)))
-
-let set_zn t v =
-  t.z <- v = 0;
-  t.n <- v land 0x80000000 <> 0
-
-(* [exec t instr] runs one decoded instruction and returns the pc to
-   continue at; [step] stores it.  Leaving [t.pc] alone until then keeps
-   it on the faulting instruction when anything raises, and returning an
-   int keeps the interpreter free of a per-call closure.  Arms that move
-   pc themselves (INT, IRET, VMCALL) return [t.pc]. *)
-let exec t instr =
-  let next = Word.add t.pc Isa.width in
-  let r = t.regs in
-  charge t (Isa.base_cycles t.costs instr);
-  match instr with
-  | Isa.Nop -> next
-  | Isa.Hlt ->
-    require_ring0 t instr;
-    t.halted <- true;
-    next
-  | Isa.Movi (rd, imm) ->
-    r.(rd) <- imm;
-    next
-  | Isa.Mov (rd, rs) ->
-    r.(rd) <- r.(rs);
-    next
-  | Isa.Add (rd, a, b) ->
-    r.(rd) <- Word.add r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Addi (rd, a, imm) ->
-    r.(rd) <- Word.add r.(a) imm;
-    set_zn t r.(rd);
-    next
-  | Isa.Sub (rd, a, b) ->
-    r.(rd) <- Word.sub r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.And_ (rd, a, b) ->
-    r.(rd) <- Word.logand r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Or_ (rd, a, b) ->
-    r.(rd) <- Word.logor r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Xor_ (rd, a, b) ->
-    r.(rd) <- Word.logxor r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Shl (rd, a, b) ->
-    r.(rd) <- Word.shift_left r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Shr (rd, a, b) ->
-    r.(rd) <- Word.shift_right r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Mul (rd, a, b) ->
-    r.(rd) <- Word.mul r.(a) r.(b);
-    set_zn t r.(rd);
-    next
-  | Isa.Cmp (a, b) ->
-    t.z <- Word.equal r.(a) r.(b);
-    t.n <- Word.signed_lt r.(a) r.(b);
-    t.c <- Word.unsigned_lt r.(a) r.(b);
-    next
-  | Isa.Cmpi (a, imm) ->
-    t.z <- Word.equal r.(a) imm;
-    t.n <- Word.signed_lt r.(a) imm;
-    t.c <- Word.unsigned_lt r.(a) imm;
-    next
-  | Isa.Ld (rd, base, imm) ->
-    r.(rd) <- load_u32 t ~cpl:t.cpl (Word.add r.(base) imm);
-    next
-  | Isa.St (base, imm, src) ->
-    store_u32 t ~cpl:t.cpl (Word.add r.(base) imm) r.(src);
-    next
-  | Isa.Ldb (rd, base, imm) ->
-    r.(rd) <- load_u8 t ~cpl:t.cpl (Word.add r.(base) imm);
-    next
-  | Isa.Stb (base, imm, src) ->
-    store_u8 t ~cpl:t.cpl (Word.add r.(base) imm) (r.(src) land 0xFF);
-    next
-  | Isa.Jmp target -> target
-  | Isa.Jz target -> if t.z then target else next
-  | Isa.Jnz target -> if not t.z then target else next
-  | Isa.Jlt target -> if t.n then target else next
-  | Isa.Jge target -> if not t.n then target else next
-  | Isa.Jb target -> if t.c then target else next
-  | Isa.Jae target -> if not t.c then target else next
-  | Isa.Jr rs -> r.(rs)
-  | Isa.Call target ->
-    let sp = Word.sub r.(Isa.sp) 4 in
-    store_u32 t ~cpl:t.cpl sp next;
-    r.(Isa.sp) <- sp;
-    target
-  | Isa.Ret ->
-    let sp = r.(Isa.sp) in
-    let target = load_u32 t ~cpl:t.cpl sp in
-    r.(Isa.sp) <- Word.add sp 4;
-    target
-  | Isa.Push rs ->
-    let sp = Word.sub r.(Isa.sp) 4 in
-    store_u32 t ~cpl:t.cpl sp r.(rs);
-    r.(Isa.sp) <- sp;
-    next
-  | Isa.Pop rd ->
-    let sp = r.(Isa.sp) in
-    let v = load_u32 t ~cpl:t.cpl sp in
-    r.(Isa.sp) <- Word.add sp 4;
-    r.(rd) <- v;
-    next
-  | Isa.In_ (rd, rs) ->
-    r.(rd) <- Word.mask (port_in t r.(rs));
-    next
-  | Isa.Ini (rd, imm) ->
-    r.(rd) <- Word.mask (port_in t imm);
-    next
-  | Isa.Out (p, v) ->
-    port_out t r.(p) r.(v);
-    next
-  | Isa.Outi (imm, v) ->
-    port_out t imm r.(v);
-    next
-  | Isa.Int_ vector ->
-    dispatch_soft t ~vector ~next_pc:next;
-    t.pc
-  | Isa.Iret ->
-    require_ring0 t instr;
-    do_iret t;
-    t.pc
-  | Isa.Sti ->
-    require_ring0 t instr;
-    t.if_ <- true;
-    next
-  | Isa.Cli ->
-    require_ring0 t instr;
-    t.if_ <- false;
-    next
-  | Isa.Liht rs ->
-    require_ring0 t instr;
-    t.iht <- r.(rs);
-    next
-  | Isa.Lptb rs ->
-    require_ring0 t instr;
-    set_ptb t r.(rs);
-    next
-  | Isa.Lstk (ring, rs) ->
-    require_ring0 t instr;
-    t.stacks.(ring land 3) <- r.(rs);
-    next
-  | Isa.Tlbflush ->
-    require_ring0 t instr;
-    flush_tlb t;
-    next
-  | Isa.Copy (d, s, n) ->
-    copy_block t ~acc:false ~dst:r.(d) ~src:r.(s) ~len:r.(n);
-    next
-  | Isa.Csum (rd, a, n) ->
-    r.(rd) <- checksum_block t ~acc:false ~addr:r.(a) ~len:r.(n);
-    next
-  | Isa.Rdtsc rd ->
-    r.(rd) <- Word.mask (Engine.now_int t.engine);
-    next
-  | Isa.Vmcall imm ->
-    (match t.hypervisor with
-     | Some hook ->
-       t.pc <- next;
-       ignore (hook t (Hypercall (imm, next)));
-       t.pc
-     | None -> raise (Fault_exn (Undefined 0x2E)))
-  | Isa.Brk -> raise (Fault_exn Breakpoint_trap)
-
-(* -- Basic-block threaded-code translator --
+   Every instruction executes as a compiled op: an OCaml closure built
+   once per decoded instruction by [compile], the single statement of
+   each instruction's semantics.  The interpreter ([step]) runs one op
+   from the decoded-instruction cache as a one-instruction block; the
+   basic-block threaded-code translator ([jit_run]) chains the ops of
+   straight-line runs.
 
    [jit_run] replaces [step] inside the batched dispatch loop whenever no
    per-instruction observer is armed (no trap flag, no retire stop, no
@@ -762,8 +606,7 @@ let exec t instr =
    chains of closures keyed by physical pc and executes them, chaining
    across taken jumps/calls/returns while the cycle budget holds.
 
-   Bit-identity with the per-instruction interpreter rests on four
-   invariants:
+   Bit-identity with per-instruction stepping rests on four invariants:
 
    1. Frozen clock.  While a chain runs, nothing reads the engine clock:
       every charge lands in the unboxed [jit_cyc] accumulator, so true
@@ -771,16 +614,18 @@ let exec t instr =
       guard [jit_cyc < jit_limit] is exactly the unbatched loop's
       [now < min horizon next_sample] test.  The accumulator (and the
       retirement accumulator [jit_ret]) is flushed before anything that
-      could observe the clock or counters runs: an interpreter fallback,
-      a fault hook, or returning to [run_batch].  Chains therefore stop
-      on the same instruction boundary where the unbatched loop would
-      have stopped for the horizon, a profiler sample, or an event.
+      could observe the clock or counters runs: an op that reaches a
+      device, ring, the clock or the monitor, a fault hook, or returning
+      to [run_batch].  Chains therefore stop on the same instruction
+      boundary where the unbatched loop would have stopped for the
+      horizon, a profiler sample, or an event.
 
-   2. Poll elision.  Compiled ops cannot change IF, HALT, the PIC, or
-      schedule events — STI/CLI/HLT/OUT/VMCALL and friends never compile
-      — so if no interrupt was deliverable when the chain started (the
-      dispatcher checks), none can become deliverable mid-chain, and the
-      skipped per-instruction polls were all no-ops.
+   2. Poll elision.  Chained ops cannot change IF, HALT, the PIC, or
+      schedule events — STI/CLI/HLT/OUT/VMCALL and friends never enter a
+      chain ([jit_compiles_mid]) — so if no interrupt was deliverable
+      when the chain started (the dispatcher checks), none can become
+      deliverable mid-chain, and the skipped per-instruction polls were
+      all no-ops.
 
    3. Fetch elision.  Instruction 1's fetch-translate runs for real at
       dispatch (charging a TLB miss and setting accessed bits exactly
@@ -816,12 +661,16 @@ let exec t instr =
    leaves the block — a transfer, a budget or guard stop, or the block's
    end.  Nothing reads pc mid-chain, so this is invisible.
 
-   Faults propagate out of the chain as exceptions.  An op that can fault
+   Faults propagate out of an op as exceptions.  An op that can fault
    first records its offset in [jit_off]; the handler restores pc to the
    faulting instruction from it, flushes the accumulators and dispatches
-   with [return_pc = pc], exactly as [step] would, then returns to
-   [run_batch] — hooks may halt, stop, schedule or retarget the CPU, all
-   of which the batch loop re-checks. *)
+   with [return_pc = pc], then returns to [run_batch] — hooks may halt,
+   stop, schedule or retarget the CPU, all of which the batch loop
+   re-checks. *)
+
+let set_zn t v =
+  t.z <- v = 0;
+  t.n <- v land 0x80000000 <> 0
 
 let jit_flush t =
   charge t t.jit_cyc;
@@ -829,78 +678,18 @@ let jit_flush t =
   t.retired <- t.retired + t.jit_ret;
   t.jit_ret <- 0
 
-let jit_load_u32 t vaddr =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then
-    Phys_mem.read_u32 t.mem (jit_translate t ~access:Mmu.Read vaddr)
-  else begin
-    let b0 = Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read vaddr) in
-    let b1 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 1))
-    in
-    let b2 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 2))
-    in
-    let b3 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 3))
-    in
-    b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-  end
-
-let jit_load_u8 t vaddr =
-  Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.mask vaddr))
-
-(* Plain store, used by the block-final CALL (no ops follow, so a store
-   over this block's own text needs no special handling — the next
-   dispatch revalidates). *)
-let jit_store_u32 t vaddr v =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then
-    Phys_mem.write_u32 t.mem (jit_translate t ~access:Mmu.Write vaddr) v
-  else
-    for i = 0 to 3 do
-      Phys_mem.write_u8 t.mem
-        (jit_translate t ~access:Mmu.Write (Word.add vaddr i))
-        ((v lsr (8 * i)) land 0xFF)
-    done
-
-(* Mid-block stores report whether they wrote over the block's own text
-   (invariant 4): [true] means the chain must stop before the next op. *)
-let jit_store_u32_chk t ~bppc ~bbytes vaddr v =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then begin
-    let p = jit_translate t ~access:Mmu.Write vaddr in
-    Phys_mem.write_u32 t.mem p v;
-    p + 4 > bppc && p < bppc + bbytes
-  end
-  else begin
-    let hit = ref false in
-    for i = 0 to 3 do
-      let p = jit_translate t ~access:Mmu.Write (Word.add vaddr i) in
-      Phys_mem.write_u8 t.mem p ((v lsr (8 * i)) land 0xFF);
-      if p >= bppc && p < bppc + bbytes then hit := true
-    done;
-    !hit
-  end
-
-let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
-  let p = jit_translate t ~access:Mmu.Write (Word.mask vaddr) in
-  Phys_mem.write_u8 t.mem p v;
-  p >= bppc && p < bppc + bbytes
-
-(* Chain terminator for blocks that end at a page boundary or an
-   interpreter-only instruction at byte offset [off]: move pc there and
-   let the dispatcher take over. *)
+(* Block terminator at byte offset [off] (a page end, the length cap, an
+   instruction that cannot chain): move pc there and let the dispatcher
+   take over. *)
 let jit_block_end ~off t = t.pc <- Word.add t.pc off
 
-(* Mid-block instruction set.  Every constructor accepted here has a
-   matching arm in [compile_op]; keep the two in sync.  COPY and CSUM are
-   memory ops like ST and LD, only longer: they share their page walks
-   with [exec] and charge into the accumulator.  The excluded
-   fallthrough instructions (I/O, privileged control, RDTSC, VMCALL,
-   INT, HLT) end the block and run in the interpreter: they reach
-   devices, rings, the clock or the monitor — exactly where the
-   unbatched loop's per-instruction bookkeeping is observable. *)
+(* The instructions a chain may run through: the straight-line ops that
+   touch only registers, flags and memory.  COPY and CSUM are memory ops
+   like ST and LD, only longer.  The excluded fallthrough instructions
+   (I/O, privileged control, RDTSC, VMCALL, INT, HLT) end the block and
+   run in the interpreter: they reach devices, rings, the clock or the
+   monitor — exactly where the unbatched loop's per-instruction
+   bookkeeping is observable. *)
 let jit_compiles_mid = function
   | Isa.Nop | Isa.Movi _ | Isa.Mov _ | Isa.Add _ | Isa.Addi _ | Isa.Sub _
   | Isa.And_ _ | Isa.Or_ _ | Isa.Xor_ _ | Isa.Shl _ | Isa.Shr _ | Isa.Mul _
@@ -943,301 +732,461 @@ let[@inline] jit_continue_walk t ~next ~nxt ~misses ~hit =
     t.pc <- Word.add t.pc nxt
   end
 
-(* Compile one straight-line instruction at byte offset [off] of its
-   block into an op closure.  Each op charges its base cost into the
-   accumulator, replicates [exec]'s work and state-update order exactly
-   (flags after the result write), counts the retirement, and tail-calls
-   [next] while the cycle budget holds.  pc stays on the block's first
-   instruction while the chain runs and is written only when control
-   leaves it; an op that can fault first records its offset in
-   [jit_off], from which the fault handler restores pc.  Returns [None]
-   for instructions that must run in the interpreter. *)
-let compile_op cpu instr ~off ~bppc ~bbytes ~(next : t -> unit) :
-    (t -> unit) option =
+(* Entry of an op that can observe time, counters or the monitor: its
+   base cost joins the accumulator, which is then flushed, so whatever
+   the op reaches sees exact time and retirements (invariant 1). *)
+let[@inline] jit_sync t ~cyc =
+  t.jit_cyc <- t.jit_cyc + cyc;
+  jit_flush t
+
+(* Exit of such an op when it falls through: pc on the next instruction,
+   retirement counted. *)
+let[@inline] jit_leave t ~nxt =
+  t.pc <- Word.add t.pc nxt;
+  t.jit_ret <- t.jit_ret + 1
+
+(* A privileged control op: outside ring 0 it raises the protection
+   fault (built once, when the op is compiled); in ring 0 [f] acts and
+   the op falls through. *)
+let ring0_op instr ~cyc ~nxt f =
+  let fault = Fault_exn (Gp (Privileged_instruction instr)) in
+  fun t ->
+    jit_sync t ~cyc;
+    if t.cpl <> 0 then raise fault;
+    f t;
+    jit_leave t ~nxt
+
+(* [compile cpu instr ~off ~bppc ~bbytes ~next] is the op for [instr] at
+   byte offset [off] of a block whose text is [bbytes] bytes at physical
+   [bppc]; [next] is the op of the instruction that follows.  Each op
+   charges its base cost into the accumulator, does its work, counts its
+   retirement and leaves pc on the instruction to continue at.  pc stays
+   on the block's first instruction while a chain runs and is written
+   only when control leaves it; an op that can fault first records its
+   offset in [jit_off], from which the fault handler restores pc.
+
+   There are three shapes of op:
+   - straight-line ops (the [jit_compiles_mid] set) update state in the
+     architectural order (flags after the result write) and tail-call
+     [next] while the cycle budget holds;
+   - transfers end the block on their destination and ignore [next];
+   - the rest reach devices, rings, the clock or the monitor.  They
+     flush the accumulators first ([jit_sync]), then act and end the
+     block.  They never enter a chain (invariant 2), so they run only as
+     one-instruction blocks, at offset 0, with pc on their own
+     instruction. *)
+let compile cpu instr ~off ~bppc ~bbytes ~(next : t -> unit) : t -> unit =
   let nxt = off + Isa.width in
   let cyc = Isa.base_cycles cpu.costs instr in
   match instr with
   | Isa.Nop ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      jit_continue t ~next ~nxt
   | Isa.Movi (rd, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.regs.(rd) <- imm;
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.regs.(rd) <- imm;
+      jit_continue t ~next ~nxt
   | Isa.Mov (rd, rs) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.regs.(rd) <- t.regs.(rs);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.regs.(rd) <- t.regs.(rs);
+      jit_continue t ~next ~nxt
   | Isa.Add (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.add r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.add r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Addi (rd, a, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.add r.(a) imm;
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.add r.(a) imm;
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Sub (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.sub r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.sub r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.And_ (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logand r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.logand r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Or_ (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logor r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.logor r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Xor_ (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logxor r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.logxor r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Shl (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.shift_left r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.shift_left r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Shr (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.shift_right r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.shift_right r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Mul (rd, a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.mul r.(a) r.(b);
-        set_zn t r.(rd);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      r.(rd) <- Word.mul r.(a) r.(b);
+      set_zn t r.(rd);
+      jit_continue t ~next ~nxt
   | Isa.Cmp (a, b) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        t.z <- Word.equal r.(a) r.(b);
-        t.n <- Word.signed_lt r.(a) r.(b);
-        t.c <- Word.unsigned_lt r.(a) r.(b);
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      t.z <- Word.equal r.(a) r.(b);
+      t.n <- Word.signed_lt r.(a) r.(b);
+      t.c <- Word.unsigned_lt r.(a) r.(b);
+      jit_continue t ~next ~nxt
   | Isa.Cmpi (a, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        t.z <- Word.equal r.(a) imm;
-        t.n <- Word.signed_lt r.(a) imm;
-        t.c <- Word.unsigned_lt r.(a) imm;
-        jit_continue t ~next ~nxt)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      let r = t.regs in
+      t.z <- Word.equal r.(a) imm;
+      t.n <- Word.signed_lt r.(a) imm;
+      t.c <- Word.unsigned_lt r.(a) imm;
+      jit_continue t ~next ~nxt
   | Isa.Ld (rd, base, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        r.(rd) <- jit_load_u32 t (Word.add r.(base) imm);
-        jit_continue_mem t ~next ~nxt ~hit:false)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      r.(rd) <- jit_load_u32 t (Word.add r.(base) imm);
+      jit_continue_mem t ~next ~nxt ~hit:false
   | Isa.St (base, imm, src) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let hit = jit_store_u32_chk t ~bppc ~bbytes (Word.add r.(base) imm) r.(src) in
-        jit_continue_mem t ~next ~nxt ~hit)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let hit = jit_store_u32_chk t ~bppc ~bbytes (Word.add r.(base) imm) r.(src) in
+      jit_continue_mem t ~next ~nxt ~hit
   | Isa.Ldb (rd, base, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        r.(rd) <- jit_load_u8 t (Word.add r.(base) imm);
-        jit_continue_mem t ~next ~nxt ~hit:false)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      r.(rd) <- jit_load_u8 t (Word.add r.(base) imm);
+      jit_continue_mem t ~next ~nxt ~hit:false
   | Isa.Stb (base, imm, src) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let hit =
-          jit_store_u8_chk t ~bppc ~bbytes (Word.add r.(base) imm)
-            (r.(src) land 0xFF)
-        in
-        jit_continue_mem t ~next ~nxt ~hit)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let hit =
+        jit_store_u8_chk t ~bppc ~bbytes (Word.add r.(base) imm)
+          (r.(src) land 0xFF)
+      in
+      jit_continue_mem t ~next ~nxt ~hit
   | Isa.Push rs ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let sp = Word.sub r.(Isa.sp) 4 in
-        let hit = jit_store_u32_chk t ~bppc ~bbytes sp r.(rs) in
-        r.(Isa.sp) <- sp;
-        jit_continue_mem t ~next ~nxt ~hit)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let sp = Word.sub r.(Isa.sp) 4 in
+      let hit = jit_store_u32_chk t ~bppc ~bbytes sp r.(rs) in
+      r.(Isa.sp) <- sp;
+      jit_continue_mem t ~next ~nxt ~hit
   | Isa.Pop rd ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let sp = r.(Isa.sp) in
-        let v = jit_load_u32 t sp in
-        r.(Isa.sp) <- Word.add sp 4;
-        r.(rd) <- v;
-        jit_continue_mem t ~next ~nxt ~hit:false)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let sp = r.(Isa.sp) in
+      let v = jit_load_u32 t sp in
+      r.(Isa.sp) <- Word.add sp 4;
+      r.(rd) <- v;
+      jit_continue_mem t ~next ~nxt ~hit:false
   | Isa.Copy (d, s, n) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let gsum = Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes in
-        let misses = Mmu.miss_count t.mmu in
-        copy_block t ~acc:true ~dst:r.(d) ~src:r.(s) ~len:r.(n);
-        jit_continue_walk t ~next ~nxt ~misses
-          ~hit:(Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes <> gsum))
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let gsum = Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes in
+      let misses = Mmu.miss_count t.mmu in
+      copy_block t ~dst:r.(d) ~src:r.(s) ~len:r.(n);
+      jit_continue_walk t ~next ~nxt ~misses
+        ~hit:(Phys_mem.generation_sum t.mem ~addr:bppc ~len:bbytes <> gsum)
   | Isa.Csum (rd, a, n) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let misses = Mmu.miss_count t.mmu in
-        r.(rd) <- checksum_block t ~acc:true ~addr:r.(a) ~len:r.(n);
-        jit_continue_walk t ~next ~nxt ~misses ~hit:false)
-  | _ -> None
-
-(* Compile a block-final control transfer at byte offset [off].  These
-   end the chain — the dispatcher decides whether to follow (superblock
-   chaining) — so they carry no continuation guard and always leave pc
-   on the transfer's destination.  Returns [None] for anything that is
-   not a compilable transfer (IRET, BRK and all fallthroughs take the
-   interpreter). *)
-let compile_final cpu instr ~off : (t -> unit) option =
-  let nxt = off + Isa.width in
-  let cyc = Isa.base_cycles cpu.costs instr in
-  match instr with
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let misses = Mmu.miss_count t.mmu in
+      r.(rd) <- checksum_block t ~addr:r.(a) ~len:r.(n);
+      jit_continue_walk t ~next ~nxt ~misses ~hit:false
   | Isa.Jmp target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- tgt;
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- tgt;
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jz target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.z then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if t.z then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jnz target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.z then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if not t.z then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jlt target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.n then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if t.n then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jge target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.n then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if not t.n then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jb target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.c then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if t.c then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jae target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.c then tgt else Word.add t.pc nxt);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- (if not t.c then tgt else Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Jr rs ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- Word.mask t.regs.(rs);
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.pc <- Word.mask t.regs.(rs);
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Call target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let ret = Word.add t.pc nxt in
-        let sp = Word.sub r.(Isa.sp) 4 in
-        jit_store_u32 t sp ret;
-        r.(Isa.sp) <- sp;
-        t.pc <- tgt;
-        t.jit_ret <- t.jit_ret + 1)
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let ret = Word.add t.pc nxt in
+      let sp = Word.sub r.(Isa.sp) 4 in
+      jit_store_u32 t sp ret;
+      r.(Isa.sp) <- sp;
+      t.pc <- tgt;
+      t.jit_ret <- t.jit_ret + 1
   | Isa.Ret ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.jit_off <- off;
-        let r = t.regs in
-        let sp = r.(Isa.sp) in
-        let tgt = jit_load_u32 t sp in
-        r.(Isa.sp) <- Word.add sp 4;
-        t.pc <- Word.mask tgt;
-        t.jit_ret <- t.jit_ret + 1)
-  | _ -> None
+    fun t ->
+      t.jit_cyc <- t.jit_cyc + cyc;
+      t.jit_off <- off;
+      let r = t.regs in
+      let sp = r.(Isa.sp) in
+      let tgt = jit_load_u32 t sp in
+      r.(Isa.sp) <- Word.add sp 4;
+      t.pc <- Word.mask tgt;
+      t.jit_ret <- t.jit_ret + 1
+  (* Port I/O records its direction and register before the port check,
+     so a monitor emulating the trapped access reads its operand from the
+     CPU instead of decoding the instruction again. *)
+  | Isa.In_ (rd, rs) ->
+    fun t ->
+      jit_sync t ~cyc;
+      t.io_in <- true;
+      t.io_reg <- rd;
+      t.regs.(rd) <- Word.mask (port_in t t.regs.(rs));
+      jit_leave t ~nxt
+  | Isa.Ini (rd, imm) ->
+    fun t ->
+      jit_sync t ~cyc;
+      t.io_in <- true;
+      t.io_reg <- rd;
+      t.regs.(rd) <- Word.mask (port_in t imm);
+      jit_leave t ~nxt
+  | Isa.Out (p, v) ->
+    fun t ->
+      jit_sync t ~cyc;
+      t.io_in <- false;
+      t.io_reg <- v;
+      port_out t t.regs.(p) t.regs.(v);
+      jit_leave t ~nxt
+  | Isa.Outi (imm, v) ->
+    fun t ->
+      jit_sync t ~cyc;
+      t.io_in <- false;
+      t.io_reg <- v;
+      port_out t imm t.regs.(v);
+      jit_leave t ~nxt
+  | Isa.Int_ vector ->
+    fun t ->
+      jit_sync t ~cyc;
+      dispatch_soft t ~vector ~next_pc:(Word.add t.pc nxt);
+      t.jit_ret <- t.jit_ret + 1
+  | Isa.Iret ->
+    let fault = Fault_exn (Gp (Privileged_instruction instr)) in
+    fun t ->
+      jit_sync t ~cyc;
+      if t.cpl <> 0 then raise fault;
+      do_iret t;
+      t.jit_ret <- t.jit_ret + 1
+  | Isa.Hlt -> ring0_op instr ~cyc ~nxt (fun t -> t.halted <- true)
+  | Isa.Sti -> ring0_op instr ~cyc ~nxt (fun t -> t.if_ <- true)
+  | Isa.Cli -> ring0_op instr ~cyc ~nxt (fun t -> t.if_ <- false)
+  | Isa.Liht rs -> ring0_op instr ~cyc ~nxt (fun t -> t.iht <- t.regs.(rs))
+  | Isa.Lptb rs -> ring0_op instr ~cyc ~nxt (fun t -> set_ptb t t.regs.(rs))
+  | Isa.Lstk (ring, rs) ->
+    ring0_op instr ~cyc ~nxt (fun t -> t.stacks.(ring land 3) <- t.regs.(rs))
+  | Isa.Tlbflush -> ring0_op instr ~cyc ~nxt flush_tlb
+  | Isa.Rdtsc rd ->
+    fun t ->
+      jit_sync t ~cyc;
+      t.regs.(rd) <- Word.mask (Engine.now_int t.engine);
+      jit_leave t ~nxt
+  | Isa.Vmcall imm ->
+    fun t ->
+      jit_sync t ~cyc;
+      (match t.hypervisor with
+       | Some hook ->
+         let next_pc = Word.add t.pc nxt in
+         t.pc <- next_pc;
+         ignore (hook t (Hypercall (imm, next_pc)))
+       | None -> raise (Fault_exn (Undefined 0x2E)));
+      t.jit_ret <- t.jit_ret + 1
+  | Isa.Brk ->
+    fun t ->
+      jit_sync t ~cyc;
+      raise (Fault_exn Breakpoint_trap)
 
-(* Whether the instruction at [ppc] can head a block: a compilable
-   straight-line op or a compilable transfer.  Interpreter-only heads
-   ([OUT], [STI], [IRET], [HLT], ...) and undecodable slots are met on
-   every trap-heavy dispatch, so they are refused here, before
-   [compile_block] allocates its decode buffer. *)
+(* -- Fetch -- *)
+
+(* The continuation of an interpreted op: a one-instruction block ends on
+   the next instruction. *)
+let step_end = jit_block_end ~off:Isa.width
+
+let compile_step t instr ~paddr =
+  compile t instr ~off:0 ~bppc:paddr ~bbytes:Isa.width ~next:step_end
+
+let fetch_cached t paddr =
+  let slot = Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask) in
+  let pgen =
+    Phys_mem.generation t.mem paddr
+    + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
+  in
+  if slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
+  then begin
+    t.ic_hits <- t.ic_hits + 1;
+    slot.iop
+  end
+  else begin
+    if slot.itag = paddr then t.ic_inval <- t.ic_inval + 1;
+    t.ic_misses <- t.ic_misses + 1;
+    let op = compile_step t (Isa.read t.mem paddr) ~paddr in
+    slot.itag <- paddr;
+    slot.igen <- pgen;
+    slot.iflush <- t.icache_gen;
+    slot.iop <- op;
+    op
+  end
+
+(* The op at pc, through the decoded-instruction cache when the
+   instruction lies in one page of RAM. *)
+let fetch t =
+  let pc = t.pc in
+  if pc land 0xFFF <= Mmu.page_size - Isa.width then begin
+    let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
+    if paddr >= 0 && paddr + Isa.width <= t.mem_size then
+      fetch_cached t paddr
+    else
+      (* Translation does not bound physical addresses (identity map when
+         paging is off, PTE frames above RAM), and the generation probe in
+         [fetch_cached] is unchecked — take the checked read, which raises
+         Bus_error and becomes a guest machine check. *)
+      compile_step t (Isa.read t.mem paddr) ~paddr
+  end
+  else begin
+    for i = 0 to Isa.width - 1 do
+      let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl (Word.add pc i) in
+      Bytes.set t.fetch_buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
+    done;
+    (* Split across two frames, so not cached.  The empty text range
+       only tells stores and COPY they never hit the op's own text,
+       which a one-instruction block does not need to know. *)
+    compile t (Isa.decode ~addr:pc t.fetch_buf ~off:0) ~off:0 ~bppc:0 ~bbytes:0
+      ~next:step_end
+  end
+
+(* An exception left an op: the guest faults become hook or table
+   deliveries at [return_pc]; anything else (a panic) propagates. *)
+let dispatch_exn t e ~return_pc =
+  match e with
+  | Fault_exn kind -> dispatch_fault t kind ~return_pc
+  | Mmu.Page_fault f -> dispatch_fault t (Page f) ~return_pc
+  | Phys_mem.Bus_error addr -> dispatch_fault t (Machine_check addr) ~return_pc
+  | Isa.Decode_error { opcode; _ } -> dispatch_fault t (Undefined opcode) ~return_pc
+  | e -> raise e
+
+(* The interpreter: one op as a one-instruction block, then the
+   per-instruction observers the translator never runs under — the
+   retire stop and the trap flag.  The op was compiled at offset 0, so
+   a fault leaves pc on the instruction: unwinding only flushes the
+   accumulators, and the fault dispatches with [return_pc] on the
+   instruction itself. *)
+let step t =
+  let start_pc = t.pc in
+  let tf0 = t.tf in
+  try
+    (fetch t) t;
+    jit_flush t;
+    (match t.retire_stop with
+     | Some (target, on_stop) when t.retired >= target ->
+       (* Landed on the requested instruction boundary: freeze with pc at
+          the next instruction to execute, exactly like a debugger stop. *)
+       t.retire_stop <- None;
+       t.stopped <- true;
+       on_stop t
+     | _ -> ());
+    if tf0 && t.tf then begin
+      (* Trap after the stepped instruction; handlers run with TF clear. *)
+      t.faults <- t.faults + 1;
+      match t.hypervisor with
+      | Some hook ->
+        (match hook t (Fault (Step_trap, t.pc)) with
+         | Handled -> ()
+         | Deliver -> hw_deliver_fault t Step_trap ~return_pc:t.pc)
+      | None -> hw_deliver_fault t Step_trap ~return_pc:t.pc
+    end
+  with e ->
+    jit_flush t;
+    dispatch_exn t e ~return_pc:start_pc
+
+(* Whether the instruction at [ppc] can head a block: a straight-line op
+   that chains or a transfer.  Interpreter-only heads ([OUT], [STI],
+   [IRET], [HLT], ...) and undecodable slots are met on every trap-heavy
+   dispatch, so they are refused here, before [compile_block] allocates
+   its decode buffer. *)
 let jit_heads_block t ~ppc =
   match Isa.read t.mem ppc with
   | exception Isa.Decode_error _ -> false
@@ -1250,8 +1199,9 @@ let jit_heads_block t ~ppc =
 
 (* Compile the run starting at [vpc] (physically at [ppc], both inside
    one page — blocks never cross a page boundary, so virtual and
-   physical offsets advance in lockstep).  Stops at the page end, the
-   length cap, an interpreter-only instruction or an undecodable slot.
+   physical offsets advance in lockstep).  The run is straight-line ops
+   optionally ended by one transfer; it stops at the page end, the
+   length cap, an instruction that cannot chain or an undecodable slot.
    Ops are chained back to front; pc updates inside ops are pc-relative
    (or absolute targets from the encoding), so a block is reusable
    across virtual mappings of the same physical text — which is exactly
@@ -1263,51 +1213,34 @@ let compile_block t ~vpc ~ppc : jblock =
     let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
     let proom = (t.mem_size - ppc) / w in
     let room = min jit_max_block (min vroom proom) in
-    let mids = Array.make (max room 1) Isa.Nop in
-    let n_mid = ref 0 in
-    let final = ref None in
+    let run = Array.make (max room 1) Isa.Nop in
+    let n = ref 0 in
     let stop = ref false in
-    while (not !stop) && Option.is_none !final && !n_mid < room do
-      match Isa.read t.mem (ppc + (!n_mid * w)) with
+    while (not !stop) && !n < room do
+      match Isa.read t.mem (ppc + (!n * w)) with
       | exception Isa.Decode_error _ -> stop := true
       | i ->
         (match Isa.flow_of i with
          | Isa.Fallthrough ->
            if jit_compiles_mid i then begin
-             mids.(!n_mid) <- i;
-             incr n_mid
+             run.(!n) <- i;
+             incr n
            end
            else stop := true
          | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
          | Isa.Return ->
-           final := Some i
+           run.(!n) <- i;
+           incr n;
+           stop := true
          | Isa.Int_return | Isa.Terminal -> stop := true)
     done;
-    let off_final = !n_mid * w in
-    let tail, n_final =
-      match !final with
-      | Some i ->
-        (match compile_final t i ~off:off_final with
-         | Some op -> (op, 1)
-         | None -> (jit_block_end ~off:off_final, 0))
-      | None -> (jit_block_end ~off:off_final, 0)
-    in
-    let total = !n_mid + n_final in
-    if total = 0 then no_block
+    let n = !n in
+    if n = 0 then no_block
     else begin
-      (* The validated byte range always covers the full decoded run even
-         if closure construction bails early below: over-approximating
-         the text only invalidates more often, never less. *)
-      let bytes = (!n_mid + (match !final with Some _ -> 1 | None -> 0)) * w in
-      let bppc = ppc and bbytes = bytes in
-      let entry = ref tail in
-      for k = !n_mid - 1 downto 0 do
-        match compile_op t mids.(k) ~off:(k * w) ~bppc ~bbytes ~next:!entry with
-        | Some op -> entry := op
-        | None ->
-          (* Unreachable while [jit_compiles_mid] and [compile_op] agree;
-             ending the block here keeps it safe even if they drift. *)
-          entry := jit_block_end ~off:(k * w)
+      let bytes = n * w in
+      let entry = ref (jit_block_end ~off:bytes) in
+      for k = n - 1 downto 0 do
+        entry := compile t run.(k) ~off:(k * w) ~bppc:ppc ~bbytes:bytes ~next:!entry
       done;
       t.jb_compiled <- t.jb_compiled + 1;
       {
@@ -1345,51 +1278,6 @@ let jit_block_at t ~ppc =
     if nb != no_block then t.jcache.(slot) <- nb;
     nb
   end
-
-let read_instr t vaddr =
-  if vaddr land 0xFFF <= Mmu.page_size - Isa.width then
-    Isa.read t.mem (translate t ~access:Mmu.Read ~cpl:0 vaddr)
-  else begin
-    let buf = Bytes.create Isa.width in
-    for i = 0 to Isa.width - 1 do
-      let paddr = translate t ~access:Mmu.Read ~cpl:0 (Word.add vaddr i) in
-      Bytes.set buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
-    done;
-    Isa.decode ~addr:vaddr buf ~off:0
-  end
-
-let step t =
-  let start_pc = t.pc in
-  let tf0 = t.tf in
-  try
-    let instr = fetch t in
-    t.pc <- Word.mask (exec t instr);
-    t.retired <- t.retired + 1;
-    (match t.retire_stop with
-     | Some (target, on_stop) when t.retired >= target ->
-       (* Landed on the requested instruction boundary: freeze with pc at
-          the next instruction to execute, exactly like a debugger stop. *)
-       t.retire_stop <- None;
-       t.stopped <- true;
-       on_stop t
-     | _ -> ());
-    if tf0 && t.tf then begin
-      (* Trap after the stepped instruction; handlers run with TF clear. *)
-      t.faults <- t.faults + 1;
-      match t.hypervisor with
-      | Some hook ->
-        (match hook t (Fault (Step_trap, t.pc)) with
-         | Handled -> ()
-         | Deliver -> hw_deliver_fault t Step_trap ~return_pc:t.pc)
-      | None -> hw_deliver_fault t Step_trap ~return_pc:t.pc
-    end
-  with
-  | Fault_exn kind -> dispatch_fault t kind ~return_pc:start_pc
-  | Mmu.Page_fault f -> dispatch_fault t (Page f) ~return_pc:start_pc
-  | Phys_mem.Bus_error addr ->
-    dispatch_fault t (Machine_check addr) ~return_pc:start_pc
-  | Isa.Decode_error { opcode; _ } ->
-    dispatch_fault t (Undefined opcode) ~return_pc:start_pc
 
 (* An exception left a chain: put pc back on the instruction that raised
    it (the block's first instruction plus [jit_off]) and flush the
@@ -1468,22 +1356,9 @@ let jit_run t ~limit =
            end
        end
      done
-   with
-   | Fault_exn kind ->
+   with e ->
      jit_unwind t;
-     dispatch_fault t kind ~return_pc:t.pc
-   | Mmu.Page_fault f ->
-     jit_unwind t;
-     dispatch_fault t (Page f) ~return_pc:t.pc
-   | Phys_mem.Bus_error addr ->
-     jit_unwind t;
-     dispatch_fault t (Machine_check addr) ~return_pc:t.pc
-   | Isa.Decode_error { opcode; _ } ->
-     jit_unwind t;
-     dispatch_fault t (Undefined opcode) ~return_pc:t.pc
-   | e ->
-     jit_unwind t;
-     raise e);
+     dispatch_exn t e ~return_pc:t.pc);
   jit_flush t
 
 (* Tight stepping loop between event horizons.  The caller has already

@@ -106,6 +106,15 @@ val stopped : t -> bool
 
 val set_stopped : t -> bool -> unit
 
+(** [io_is_in t] / [io_reg t] — the operand of the last IN/OUT the CPU
+    began: whether it reads a port, and its register (the destination of
+    an IN, the source of an OUT).  Both are set before the port check,
+    so a hook handling [Gp (Io_denied _)] reads the trapped access here
+    instead of decoding the instruction again. *)
+val io_is_in : t -> bool
+
+val io_reg : t -> Isa.reg
+
 (** {2 I/O permission bitmap} *)
 
 (** [allow_port t port allowed] grants/revokes direct port access for
@@ -121,8 +130,6 @@ val port_allowed : t -> int -> bool
 val load_u32 : t -> cpl:int -> int -> Word.t
 
 val store_u32 : t -> cpl:int -> int -> Word.t -> unit
-val load_u8 : t -> cpl:int -> int -> int
-val store_u8 : t -> cpl:int -> int -> int -> unit
 
 (** [translate t ~access ~cpl vaddr] is the physical address (charges TLB
     costs). *)
@@ -142,8 +149,11 @@ val charge : t -> int -> unit
 val poll_interrupts : t -> unit
 
 (** [step t] executes exactly one instruction (the caller checks
-    [halted]/[stopped] first).  Faults dispatch internally; the function
-    returns normally unless the machine panics. *)
+    [halted]/[stopped] first): the instruction's compiled op, taken from
+    the decoded-instruction cache, runs as a one-instruction block — the
+    same op the block translator chains — followed by the retire-stop and
+    trap-flag checks.  Faults dispatch internally; the function returns
+    normally unless the machine panics. *)
 val step : t -> unit
 
 (** [run_batch t ~horizon ~wake] steps the CPU in a tight loop until the
@@ -171,11 +181,6 @@ val deliver : t -> table:int -> vector:int -> error:int -> return_pc:int -> unit
 (** [do_iret t] performs the IRET state restore (the monitor uses it to
     emulate a guest IRET).  @raise Panic on a malformed frame request. *)
 val do_iret : t -> unit
-
-(** [read_instr t vaddr] fetches and decodes the instruction at a virtual
-    address with supervisor rights (used by the monitor to inspect the
-    guest instruction behind a trap). *)
-val read_instr : t -> int -> Isa.instr
 
 (** {2 Continuous pc sampling}
 
@@ -205,7 +210,8 @@ val icache_invalidations : t -> int
 
     [run_batch] normally executes through a basic-block threaded-code
     translator: straight-line decoded runs are compiled into chains of
-    closures keyed by {e physical} pc, validated at every dispatch
+    closures — the same per-instruction ops {!step} runs one at a time —
+    keyed by {e physical} pc, validated at every dispatch
     against the {!Phys_mem} granule write generations of their whole
     text plus the icache flush stamp (self-modifying code, DMA over
     text, breakpoint patching and [LPTB]/[TLBFLUSH] invalidate compiled
@@ -219,9 +225,10 @@ val icache_invalidations : t -> int
     boundary, or code-page TLB eviction. *)
 
 (** [set_jit_enabled t v] turns the translator on/off ([true] at
-    creation; {!Machine.create} honors [LWVMM_JIT=0]).  Toggling is safe
-    at any instruction boundary and never changes guest-visible
-    behaviour, only speed. *)
+    creation; see {!Machine.create}'s [?jit]).  Off, every instruction
+    runs through {!step} as a one-instruction block.  Toggling is safe at
+    any instruction boundary and never changes guest-visible behaviour,
+    only speed. *)
 val set_jit_enabled : t -> bool -> unit
 
 val jit_enabled : t -> bool

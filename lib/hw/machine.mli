@@ -26,10 +26,13 @@ end
 
 type t
 
-(** [create ?mem_size ?costs ()] builds and wires a machine.  Default
+(** [create ?mem_size ?costs ?jit ()] builds and wires a machine.  Default
     memory is 16 MiB; the CPU starts at pc 0, ring 0, paging off,
-    interrupts off. *)
-val create : ?mem_size:int -> ?costs:Costs.t -> unit -> t
+    interrupts off.  [jit] (default [true]) starts the block translator
+    on; [false] runs every instruction through the per-instruction
+    interpreter.  The translator never changes guest-visible state, so a
+    trace recorded in either mode replays in either mode. *)
+val create : ?mem_size:int -> ?costs:Costs.t -> ?jit:bool -> unit -> t
 
 val cpu : t -> Cpu.t
 val mem : t -> Phys_mem.t

@@ -5,7 +5,7 @@ let mtu = 1500
 
 (* An in-flight TX frame, materialized so checkpoints can capture the
    wire contents and re-arm the completion after a restore. *)
-type tx_op = { txo_len : int; txo_buf : Bytes.t; txo_done_at : int64 }
+type tx_op = { txo_len : int; txo_buf : Bytes.t; txo_done_at : int }
 
 type t = {
   engine : Engine.t;
@@ -14,13 +14,13 @@ type t = {
   mutable tx_addr : int;
   mutable tx_len : int;
   mutable queued : int; (* frames in the ring, not yet on the wire *)
-  mutable inflight : tx_op list; (* submission order; length = queued *)
-  mutable wire_busy_until : int64;
+  inflight : tx_op Queue.t; (* submission order; length = queued *)
+  mutable wire_busy_until : int; (* engine cycles *)
   mutable completions : int;
   mutable overflow : bool;
   mutable overflow_count : int;
   mutable frames_sent : int;
-  mutable bytes_sent : int64;
+  mutable bytes_sent : int;
   mutable irq : unit -> unit;
   mutable on_frame : bytes -> unit;
   mutable has_consumer : bool;
@@ -45,13 +45,13 @@ let create ~engine ~costs ~mem () =
     tx_addr = 0;
     tx_len = 0;
     queued = 0;
-    inflight = [];
-    wire_busy_until = 0L;
+    inflight = Queue.create ();
+    wire_busy_until = 0;
     completions = 0;
     overflow = false;
     overflow_count = 0;
     frames_sent = 0;
-    bytes_sent = 0L;
+    bytes_sent = 0;
     irq = (fun () -> ());
     on_frame = (fun _ -> ());
     has_consumer = false;
@@ -79,25 +79,27 @@ let set_tracer t tracer = t.tracer <- Some tracer
 
 let serialization_cycles t len =
   let seconds = float_of_int (8 * len) /. (t.costs.Costs.nic_gbps *. 1e9) in
-  Int64.add
-    (Int64.of_int t.costs.Costs.nic_setup_cycles)
-    (Costs.cycles_of_seconds t.costs seconds)
+  t.costs.Costs.nic_setup_cycles
+  + Int64.to_int (Costs.cycles_of_seconds t.costs seconds)
 
 (* Schedule a frame's wire completion.  The descriptor lives in
    [inflight] until the event fires, so checkpoints see the wire
-   contents; the event is epoch-guarded so reset/restore abandons it. *)
+   contents; the event is epoch-guarded so reset/restore abandons it.
+   Frames leave the wire in submission order (each completes no earlier
+   than the one before it, and the engine runs same-time events in the
+   order they were scheduled), so a completion takes the queue's head. *)
 let arm_tx t ~buf ~len ~done_at =
   let op = { txo_len = len; txo_buf = buf; txo_done_at = done_at } in
-  t.inflight <- t.inflight @ [ op ];
+  Queue.add op t.inflight;
   let epoch = t.epoch in
   ignore
-    (Engine.at t.engine ~time:done_at (fun () ->
+    (Engine.at_int t.engine ~time:done_at (fun () ->
          if t.epoch = epoch then begin
-           t.inflight <- List.filter (fun o -> o != op) t.inflight;
+           ignore (Queue.take t.inflight : tx_op);
            t.queued <- t.queued - 1;
            t.completions <- t.completions + 1;
            t.frames_sent <- t.frames_sent + 1;
-           t.bytes_sent <- Int64.add t.bytes_sent (Int64.of_int len);
+           t.bytes_sent <- t.bytes_sent + len;
            (* Consumers may retain the frame, so they get a right-sized
               copy; benches never register one and pay no allocation. *)
            if t.has_consumer then t.on_frame (Bytes.sub buf 0 len);
@@ -106,6 +108,9 @@ let arm_tx t ~buf ~len ~done_at =
          (* The buffer is recycled either way — a reset emptied the ring
             but the frame is no longer referenced. *)
          Stack.push buf t.pool))
+
+let take_buffer t =
+  if Stack.is_empty t.pool then Bytes.create mtu else Stack.pop t.pool
 
 let send t =
   if t.tx_len <= 0 || t.tx_len > mtu then t.overflow <- true
@@ -118,23 +123,16 @@ let send t =
        happens on the wire.  The ring bounds in-flight frames, so the pool
        stays at most [tx_ring_slots] buffers deep. *)
     let len = t.tx_len in
-    let buf =
-      match Stack.pop_opt t.pool with
-      | Some b -> b
-      | None -> Bytes.create mtu
-    in
+    let buf = take_buffer t in
     Phys_mem.blit_to_bytes t.mem ~addr:t.tx_addr buf ~off:0 ~len;
     t.queued <- t.queued + 1;
-    let now = Engine.now t.engine in
-    let start =
-      if Int64.compare t.wire_busy_until now > 0 then t.wire_busy_until else now
-    in
-    let done_at = Int64.add start (serialization_cycles t len) in
+    let start = max t.wire_busy_until (Engine.now_int t.engine) in
+    let done_at = start + serialization_cycles t len in
     t.wire_busy_until <- done_at;
     (match t.tracer with
      | Some tracer ->
-       Vmm_obs.Tracer.add_complete tracer ~cat:"dma" ~name:"nic_tx" ~start
-         ~stop:done_at ()
+       Vmm_obs.Tracer.add_complete tracer ~cat:"dma" ~name:"nic_tx"
+         ~start:(Int64.of_int start) ~stop:(Int64.of_int done_at) ()
      | None -> ());
     arm_tx t ~buf ~len ~done_at
   end
@@ -147,7 +145,7 @@ let send t =
    a TX stall that filled the ring. *)
 let tx_reset t =
   t.epoch <- t.epoch + 1;
-  t.inflight <- [];
+  Queue.clear t.inflight;
   t.queued <- 0;
   t.completions <- 0;
   t.overflow <- false;
@@ -200,7 +198,7 @@ let attach t bus ~base =
     ~write:(io_write t)
 
 let frames_sent t = t.frames_sent
-let bytes_sent t = t.bytes_sent
+let bytes_sent t = Int64.of_int t.bytes_sent
 let overflows t = t.overflow_count
 
 (* Fault injection: the wire refuses to serialize for [cycles]; frames
@@ -208,16 +206,15 @@ let overflows t = t.overflow_count
    the guest keeps pushing). *)
 let stall_tx t ~cycles =
   if Int64.compare cycles 0L < 0 then invalid_arg "Nic.stall_tx: negative";
-  let now = Engine.now t.engine in
-  let resume = Int64.add now cycles in
-  if Int64.compare resume t.wire_busy_until > 0 then begin
+  let now = Engine.now_int t.engine in
+  let resume =
+    Engine.cycles_of_time "Nic.stall_tx" (Int64.add (Int64.of_int now) cycles)
+  in
+  if resume > t.wire_busy_until then begin
     (* Only the extension beyond already-queued serialization counts as
        stall time — the rest would have been wire-busy anyway. *)
-    let busy_from =
-      if Int64.compare t.wire_busy_until now > 0 then t.wire_busy_until
-      else now
-    in
-    t.stall_cycles <- Int64.add t.stall_cycles (Int64.sub resume busy_from);
+    let busy_from = max t.wire_busy_until now in
+    t.stall_cycles <- Int64.add t.stall_cycles (Int64.of_int (resume - busy_from));
     t.wire_busy_until <- resume
   end;
   t.tx_stalls <- t.tx_stalls + 1
@@ -234,7 +231,7 @@ let tx_ring_resets t = t.tx_resets
    of the guest being rebooted.  Cumulative counters survive too. *)
 let reset t =
   t.epoch <- t.epoch + 1;
-  t.inflight <- [];
+  Queue.clear t.inflight;
   t.queued <- 0;
   t.completions <- 0;
   t.overflow <- false;
@@ -260,11 +257,8 @@ type state = {
 }
 
 let capture t =
-  let now = Engine.now t.engine in
-  let rel at =
-    let d = Int64.sub at now in
-    if Int64.compare d 0L < 0 then 0L else d
-  in
+  let now = Engine.now_int t.engine in
+  let rel at = Int64.of_int (max 0 (at - now)) in
   {
     n_tx_addr = t.tx_addr;
     n_tx_len = t.tx_len;
@@ -274,24 +268,27 @@ let capture t =
     n_rx = Queue.fold (fun acc f -> Bytes.copy f :: acc) [] t.rx |> List.rev;
     n_rx_addr = t.rx_addr;
     n_inflight =
-      List.map
-        (fun op ->
+      Queue.fold
+        (fun acc op ->
           {
             xs_data = Bytes.sub op.txo_buf 0 op.txo_len;
             xs_remaining = rel op.txo_done_at;
-          })
-        t.inflight;
+          }
+          :: acc)
+        [] t.inflight
+      |> List.rev;
   }
 
 let restore t s =
-  let now = Engine.now t.engine in
+  let now = Engine.now_int t.engine in
+  let at rel = now + Engine.cycles_of_time "Nic.restore" rel in
   t.epoch <- t.epoch + 1;
-  t.inflight <- [];
+  Queue.clear t.inflight;
   t.tx_addr <- s.n_tx_addr;
   t.tx_len <- s.n_tx_len;
   t.completions <- s.n_completions;
   t.overflow <- s.n_overflow;
-  t.wire_busy_until <- Int64.add now s.n_wire_remaining;
+  t.wire_busy_until <- at s.n_wire_remaining;
   Queue.clear t.rx;
   List.iter (fun f -> Queue.add (Bytes.copy f) t.rx) s.n_rx;
   t.rx_addr <- s.n_rx_addr;
@@ -299,11 +296,9 @@ let restore t s =
   List.iter
     (fun xs ->
       let len = Bytes.length xs.xs_data in
-      let buf =
-        match Stack.pop_opt t.pool with Some b -> b | None -> Bytes.create mtu
-      in
+      let buf = take_buffer t in
       Bytes.blit xs.xs_data 0 buf 0 len;
-      arm_tx t ~buf ~len ~done_at:(Int64.add now xs.xs_remaining))
+      arm_tx t ~buf ~len ~done_at:(at xs.xs_remaining))
     s.n_inflight
 
-let inflight_tx t = List.length t.inflight
+let inflight_tx t = Queue.length t.inflight

@@ -1,14 +1,17 @@
 (* Every store bumps the generation of the 64-byte granule(s) it touches,
    so physically-tagged caches above (the CPU's decoded-instruction cache)
-   validate with an array read instead of watching every writer.  The
+   validate with one read instead of watching every writer.  The
    granule is deliberately finer than an MMU page: guest kernels keep hot
    data right next to code, and a 4 KiB granule would let counter stores
    invalidate the whole text page around them. *)
 let granule_bits = 6
 
+(* The generations are native-endian 64-bit words in a byte string
+   rather than an [int array]: the garbage collector does not scan a
+   string, so a machine's 2 MiB of counters costs no marking work. *)
 type t = {
   data : Bytes.t;
-  granule_gens : int array;
+  granule_gens : Bytes.t;
 }
 
 exception Bus_error of int
@@ -17,7 +20,7 @@ let create ~size =
   if size <= 0 then invalid_arg "Phys_mem.create: size <= 0";
   {
     data = Bytes.make size '\000';
-    granule_gens = Array.make (((size - 1) lsr granule_bits) + 1) 0;
+    granule_gens = Bytes.make (8 * (((size - 1) lsr granule_bits) + 1)) '\000';
   }
 
 let size t = Bytes.length t.data
@@ -25,25 +28,39 @@ let size t = Bytes.length t.data
 let check t addr len =
   if addr < 0 || addr + len > Bytes.length t.data then raise (Bus_error addr)
 
-let generation t addr =
-  Array.unsafe_get t.granule_gens (addr lsr granule_bits)
+(* Unchecked native-endian 64-bit access; callers have bounds-checked the
+   range.  Unaligned addresses are fine on every target OCaml supports. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] gen_get t g = Int64.to_int (get64u t.granule_gens (g lsl 3))
+
+let[@inline] gen_incr t g =
+  set64u t.granule_gens (g lsl 3) (Int64.of_int (gen_get t g + 1))
+
+let generation t addr = gen_get t (addr lsr granule_bits)
 
 let generation_sum t ~addr ~len =
-  let sum = ref 0 in
-  for g = addr lsr granule_bits to (addr + len - 1) lsr granule_bits do
-    sum := !sum + t.granule_gens.(g)
-  done;
-  !sum
+  if len <= 0 then 0
+  else begin
+    let first = addr lsr granule_bits and last = (addr + len - 1) lsr granule_bits in
+    if addr < 0 || 8 * last >= Bytes.length t.granule_gens then
+      invalid_arg "index out of bounds";
+    let sum = ref 0 in
+    for g = first to last do
+      sum := !sum + gen_get t g
+    done;
+    !sum
+  end
 
 (* [addr, addr+len) is already bounds-checked when this runs. *)
 let bump t addr len =
   let first = addr lsr granule_bits in
   let last = (addr + len - 1) lsr granule_bits in
-  Array.unsafe_set t.granule_gens first
-    (Array.unsafe_get t.granule_gens first + 1);
+  gen_incr t first;
   if last > first then
     for p = first + 1 to last do
-      t.granule_gens.(p) <- t.granule_gens.(p) + 1
+      gen_incr t p
     done
 
 let read_u8 t addr =
@@ -107,9 +124,6 @@ let blit t ~src ~dst ~len =
   if len > 0 then bump t dst len;
   Bytes.blit t.data src t.data dst len
 
-(* Unchecked native-endian 64-bit load; callers have bounds-checked the
-   range.  Unaligned addresses are fine on every target OCaml supports. *)
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let[@inline] get_le64 b i =

@@ -30,8 +30,9 @@ val granule_bits : int
 val generation : t -> int -> int
 
 (** [generation_sum t ~addr ~len] is the sum of the generations of every
-    granule [\[addr, addr + len)] touches ([len > 0]).  Generations only
-    grow, so the sum changes for good once any of them moves.
+    granule [\[addr, addr + len)] touches; an empty range ([len <= 0])
+    sums to 0.  Generations only grow, so the sum changes for good once
+    any of them moves.
     @raise Invalid_argument if the range leaves memory. *)
 val generation_sum : t -> addr:int -> len:int -> int
 

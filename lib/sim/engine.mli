@@ -46,6 +46,10 @@ val advance : t -> int -> unit
     @raise Invalid_argument if [time] is out of range. *)
 val at : t -> time:int64 -> (unit -> unit) -> Event_queue.handle
 
+(** [at_int engine ~time f] is {!at} on the native clock (see
+    {!now_int}); [time] must be below {!no_event}. *)
+val at_int : t -> time:int -> (unit -> unit) -> Event_queue.handle
+
 (** [after engine ~delay f] schedules [f] at [now + delay].
     @raise Invalid_argument if [now + delay] is out of range. *)
 val after : t -> delay:int64 -> (unit -> unit) -> Event_queue.handle

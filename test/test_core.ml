@@ -96,6 +96,61 @@ let test_hypercall_console () =
   run_seconds m 0.001;
   check Alcotest.string "console" "hi!" (Monitor.console mon)
 
+(* -- Trapped port I/O at a page-straddling pc --
+
+   An IN and an OUT to the virtual PIC's mask port, each fetched across
+   a page boundary, in their register-port forms, then the
+   immediate-port forms and two console bytes through the virtual UART.
+   The monitor emulates every access from the operand the CPU recorded
+   when it trapped.  Registers (r7 holds RDTSC right after the OUT),
+   busy cycles, retirements and console output are pinned: where the
+   operand comes from must not change any of them. *)
+let straddling_io_run ~jit =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs ~jit () in
+  let mon = Monitor.install m in
+  let pic_mask = Machine.Ports.pic + 1 in
+  let a = Asm.create ~origin:0x1FF4 () in
+  Asm.movi a 6 (Asm.imm pic_mask);
+  Asm.in_ a 1 6 (* 0x1FFC: straddles 0x2000 *);
+  Asm.movi a 3 (Asm.imm 0x5A);
+  Asm.jmp a (Asm.lbl "out");
+  Asm.space a (0x2FFC - 0x2014);
+  Asm.label a "out";
+  Asm.out a 6 3 (* 0x2FFC: straddles 0x3000 *);
+  Asm.rdtsc a 7;
+  Asm.ini a 2 (Asm.imm pic_mask);
+  Asm.outi a (Asm.imm pic_mask) 1;
+  Asm.movi a 4 (Asm.imm Machine.Ports.uart);
+  Asm.out a 4 2;
+  Asm.outi a (Asm.imm Machine.Ports.uart) 3;
+  Asm.vmcall a (Asm.imm 2);
+  let p = Asm.assemble a in
+  check int "out straddles" 0x2FFC (Asm.symbol p "out");
+  Monitor.boot_guest mon p ~entry:0x1FF4;
+  run_seconds m 0.001;
+  let cpu = Machine.cpu m in
+  ( List.init Isa.num_regs (Cpu.read_reg cpu),
+    Vmm_sim.Stats.busy_cycles (Machine.load m),
+    Cpu.instructions_retired cpu,
+    Monitor.console mon,
+    (Monitor.stats mon).Monitor.io_emulations )
+
+let test_straddling_io_operands () =
+  List.iter
+    (fun jit ->
+      let regs, busy, retired, console, ios = straddling_io_run ~jit in
+      let l what = Printf.sprintf "%s (jit %b)" what jit in
+      check (Alcotest.list int) (l "registers")
+        [ 0; 0; 0x5A; 0x5A; Machine.Ports.uart; 0; Machine.Ports.pic + 1;
+          100606; 0; 0; 0; 0; 0; 0; 0; 0 ]
+        regs;
+      check Alcotest.int64 (l "busy cycles") 199512L busy;
+      (* the six port accesses trap and are emulated, not retired *)
+      check Alcotest.int64 (l "retired") 6L retired;
+      check Alcotest.string (l "console") "ZZ" console;
+      check int (l "io emulations") 6 ios)
+    [ true; false ]
+
 (* -- Virtual timer + interrupt reflection -- *)
 
 let timer_guest () =
@@ -779,6 +834,8 @@ let () =
           Alcotest.test_case "deprivileged guest" `Quick test_guest_runs_deprivileged;
           Alcotest.test_case "sti/cli emulation" `Quick test_sti_cli_emulated;
           Alcotest.test_case "hypercall console" `Quick test_hypercall_console;
+          Alcotest.test_case "straddling io operands" `Quick
+            test_straddling_io_operands;
         ] );
       ( "interrupts",
         [

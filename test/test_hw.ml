@@ -59,6 +59,24 @@ let test_mem_bounds () =
   Alcotest.check_raises "straddling u32" (Phys_mem.Bus_error 13) (fun () ->
       ignore (Phys_mem.read_u32 m 13))
 
+(* Write generations, which the decoded-instruction and block caches
+   validate against: a store bumps every granule it touches, sums cover
+   whole granules, and a range outside memory is refused. *)
+let test_mem_generations () =
+  let m = Phys_mem.create ~size:256 in
+  let g = 1 lsl Phys_mem.granule_bits in
+  Phys_mem.write_u32 m (g - 2) 0xFFFFFFFF;
+  check int "granule 0" 1 (Phys_mem.generation m 0);
+  check int "granule 1" 1 (Phys_mem.generation m g);
+  check int "granule 2" 0 (Phys_mem.generation m (2 * g));
+  Phys_mem.write_u8 m (2 * g) 1;
+  Phys_mem.fill m ~addr:(2 * g) ~len:(2 * g) 0;
+  check int "sum" 5 (Phys_mem.generation_sum m ~addr:0 ~len:256);
+  check int "partial granules" 4 (Phys_mem.generation_sum m ~addr:(g - 1) ~len:(g + 2));
+  check int "empty range" 0 (Phys_mem.generation_sum m ~addr:0 ~len:0);
+  Alcotest.check_raises "range leaves memory" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Phys_mem.generation_sum m ~addr:200 ~len:100))
+
 let test_mem_checksum_matches_rfc () =
   (* Independent reference implementation. *)
   let m = Phys_mem.create ~size:64 in
@@ -940,6 +958,44 @@ let test_nic_tx () =
   Io_bus.write bus (base + 4) 1;
   check int "completion consumed" 0 (Io_bus.read bus (base + 3) land 2)
 
+(* In-flight frames complete in submission order, survive a checkpoint
+   round trip with their wire times, and a ring reset abandons them
+   without disturbing the frames sent after it. *)
+let test_nic_inflight () =
+  let m = fresh_machine () in
+  let nic = Machine.nic m and bus = Machine.bus m and engine = Machine.engine m in
+  let sizes = ref [] in
+  Nic.set_on_frame nic (fun f -> sizes := Bytes.length f :: !sizes);
+  let base = Machine.Ports.nic in
+  let send len =
+    Io_bus.write bus base 0x50000;
+    Io_bus.write bus (base + 1) len;
+    Io_bus.write bus (base + 2) 1
+  in
+  List.iter send [ 100; 200; 300 ];
+  check int "three in flight" 3 (Nic.inflight_tx nic);
+  let saved = Nic.capture nic in
+  (match List.map (fun x -> x.Nic.xs_remaining) saved.Nic.n_inflight with
+   | [ a; b; c ] -> check bool "wire order" true (a < b && b < c)
+   | _ -> Alcotest.fail "expected three captured frames");
+  Engine.run_until engine ~time:(Option.get (Engine.next_event_time engine));
+  check Alcotest.(list int) "first frame first" [ 100 ] !sizes;
+  check int "two left" 2 (Nic.inflight_tx nic);
+  Nic.restore nic saved;
+  check int "restored" 3 (Nic.inflight_tx nic);
+  ignore (Engine.run_until_idle engine);
+  check Alcotest.(list int) "restored frames in order" [ 100; 100; 200; 300 ] (List.rev !sizes);
+  check int "bytes" 700 (Int64.to_int (Nic.bytes_sent nic));
+  sizes := [];
+  send 10;
+  send 20;
+  Io_bus.write bus (base + 2) 3;
+  check int "reset empties the ring" 0 (Nic.inflight_tx nic);
+  send 30;
+  ignore (Engine.run_until_idle engine);
+  check Alcotest.(list int) "only the frame after the reset" [ 30 ] !sizes;
+  check int "nothing left" 0 (Nic.inflight_tx nic)
+
 let test_nic_wire_rate () =
   (* Two back-to-back 1500-byte frames serialize sequentially at 1 Gbps. *)
   let m = fresh_machine () in
@@ -1099,6 +1155,33 @@ let test_cpu_copy_across_pages () =
   check bool "multi-page copy" true
     (Phys_mem.read_bytes mem ~addr:0x2800 ~len:10000
     = Phys_mem.read_bytes mem ~addr:0x8800 ~len:10000)
+
+let test_cpu_irq_delivery_fault_panics () =
+  (* A timer interrupt arrives with sp at 0, so pushing its frame leaves
+     memory.  That has nowhere to go: the CPU panics, as it does when a
+     fault's frame cannot be pushed, rather than letting the bus error
+     out of the run loop. *)
+  let m = fresh_machine () in
+  let mem = Machine.mem m and cpu = Machine.cpu m in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a Isa.sp (Asm.imm 0);
+  Asm.sti a;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  for vector = 0 to 63 do
+    write_gate mem ~table:0x2000 ~vector ~handler:0x3000 ~ring:0 ~dpl:0
+  done;
+  Cpu.set_iht_base cpu 0x2000;
+  let bus = Machine.bus m and pit = Machine.Ports.pit in
+  Io_bus.write bus pit 8;
+  Io_bus.write bus (pit + 1) 0;
+  Io_bus.write bus (pit + 2) 1 (* periodic *);
+  match Machine.run_for m ~cycles:30_000L with
+  | () -> Alcotest.fail "the interrupt was never delivered"
+  | exception Cpu.Panic msg ->
+    check bool ("double fault: " ^ msg) true
+      (String.starts_with ~prefix:"double fault delivering vector" msg)
 
 let test_cpu_iret_to_ring3_with_pending_step () =
   (* IRET restoring a flags word with TF set must trap after the first
@@ -1625,9 +1708,10 @@ let test_jit_interpreter_only_head () =
     true (per_head <= 10.0)
 
 (* The sim-speed compute loop on bare metal with the translator off:
-   every instruction goes through fetch, [exec] and [step], which must
-   not allocate (measured 0.0000 words per instruction; the ceiling is
-   ROADMAP's target of 2). *)
+   every instruction is fetched from the decoded-instruction cache and
+   run by [step] as a one-instruction block, which must not allocate
+   (measured 0.0000 words per instruction; the ceiling is ROADMAP's
+   target of 2). *)
 let test_interpreter_alloc () =
   let m = fresh_machine () in
   let cpu = Machine.cpu m in
@@ -1762,6 +1846,59 @@ let test_jit_copy_csum_fault_lw () =
     = Phys_mem.read_bytes mem ~addr:0x1000 ~len:100);
   check int "checksum" (Phys_mem.checksum mem ~addr:sum_at ~len:200) (reg m 9)
 
+let test_copy_csum_straddling_pc () =
+  (* A COPY, a CSUM and a COPY over its own bytes, each fetched across a
+     page boundary, so each runs uncached with an empty text range.
+     Three laps; the end state is pinned to what the interpreter gave
+     before instructions became compiled ops. *)
+  let m =
+    check_jit_on_off "copy/csum at a straddling pc" (fun ~jit ->
+        let m, p =
+          run_batched ~jit ~cycles:100_000L (fun a ->
+              Asm.movi a 1 (Asm.imm 0x8000);
+              Asm.movi a 2 (Asm.imm 0x1000);
+              Asm.movi a 3 (Asm.imm 64);
+              Asm.movi a 4 (Asm.lbl "self");
+              Asm.movi a 5 (Asm.lbl "image");
+              Asm.movi a 6 (Asm.imm Isa.width);
+              Asm.label a "lap";
+              Asm.jmp a (Asm.lbl "copy");
+              Asm.space a (0x1FFC - 0x1038);
+              Asm.label a "copy";
+              Asm.copy a 1 2 3;
+              Asm.jmp a (Asm.lbl "sum");
+              Asm.space a (0x2FFC - 0x200C);
+              Asm.label a "sum";
+              Asm.csum a 9 1 3;
+              Asm.jmp a (Asm.lbl "self");
+              Asm.space a (0x3FFC - 0x300C);
+              Asm.label a "self";
+              Asm.copy a 4 5 6;
+              Asm.addi a 8 8 (Asm.imm 1);
+              Asm.cmpi a 8 (Asm.imm 3);
+              Asm.jnz a (Asm.lbl "lap");
+              Asm.hlt a;
+              Asm.label a "image";
+              Asm.copy a 4 5 6)
+        in
+        List.iter
+          (fun (l, at) -> check int (l ^ " straddles") at (Asm.symbol p l))
+          [ ("copy", 0x1FFC); ("sum", 0x2FFC); ("self", 0x3FFC) ];
+        m)
+  in
+  let cpu = Machine.cpu m in
+  check (Alcotest.list int) "registers"
+    [ 0; 0x8000; 0x1000; 64; 0x3FFC; 0x4024; Isa.width; 0; 3; 0x7F7A;
+      0; 0; 0; 0; 0; 0 ]
+    (List.init Isa.num_regs (Cpu.read_reg cpu));
+  check int "halted after the loop" 0x4024 (Cpu.pc cpu);
+  check Alcotest.int64 "retired" 34L (Cpu.instructions_retired cpu);
+  check Alcotest.int64 "busy cycles" 2614L
+    (Vmm_sim.Stats.busy_cycles (Machine.load m));
+  check bool "copied" true
+    (Phys_mem.read_bytes (Machine.mem m) ~addr:0x8000 ~len:64
+    = Phys_mem.read_bytes (Machine.mem m) ~addr:0x1000 ~len:64)
+
 (* Paging on.  The guest first points its code page's PTE at another
    frame, 0x3000, whose copy of the code differs in one instruction; the
    stale TLB entry keeps fetches on 0x1000.  A COPY from [src] to [dst]
@@ -1876,6 +2013,161 @@ let test_jit_copy_forward_chunks () =
     [ 0; 0; 1; 2; 3; 4; 5; 6; 7; 8; 8; 8; 11; 12; 13; 14; 15; 16; 17; 18; 19 ]
     got
 
+(* -- Randomized translator on/off differential --
+
+   Random programs over all 48 constructors run on bare metal with the
+   translator on and off, and every observable must agree.  Operands are
+   masked so a program stays inside the machine.  Written registers are
+   r0-r10; r11-r15 hold the interrupt table, a data pointer, a port
+   number that doubles as a COPY/CSUM length, the stack and an identity
+   page directory, for LIHT, memory operands, register-port I/O, LSTK
+   and LPTB to use.  Loads and stores address the data region through
+   r12, straddling its page ends; immediate jump and call targets land
+   inside the program; immediate ports are the UART, the PIC mask, the
+   PIT control and an unmapped port.  JR, RET and IRET keep their
+   random destinations and frames.  Every vector's gate is present and
+   callable from any ring, and its handler acknowledges the PIC and
+   moves the return pc one instruction on, so a program runs on after
+   an INT, a fault or an interrupt.  The PIT ticks every few thousand
+   cycles, so a program that sets IF takes timer interrupts, on
+   instruction boundaries both modes must agree on.  Each program
+   starts with an ALU op, so the translator engages, and ends with HLT.
+   Half the programs start 28 bytes below a page end, so their fourth
+   instruction is fetched across it.  A panic (a double fault, also one
+   while delivering a timer interrupt) ends the run in both modes at the
+   same point, so it is compared like any other end. *)
+
+let diff_iht = 0x2000
+let diff_handler = 0x3000
+let diff_data = 0x10F80
+let diff_port = Machine.Ports.uart
+let diff_pd = 0x40000
+
+let diff_ports =
+  [| Machine.Ports.uart; Machine.Ports.pic + 1; Machine.Ports.pit + 2; 0x80 |]
+
+let diff_origin straddle = if straddle then 0x1000 - 28 else 0x1000
+
+let mask_instr ~origin ~len instr =
+  let w rd = rd mod 11 in
+  let target imm = origin + (Isa.width * (imm mod len)) in
+  let port imm = diff_ports.(imm land 3) in
+  let addr imm = imm land 0x1FFF in
+  let range r = if r land 1 = 0 then 12 else 15 in
+  match instr with
+  | Isa.Movi (rd, imm) -> Isa.Movi (w rd, imm)
+  | Isa.Mov (rd, rs) -> Isa.Mov (w rd, rs)
+  | Isa.Add (rd, a, b) -> Isa.Add (w rd, a, b)
+  | Isa.Addi (rd, a, imm) -> Isa.Addi (w rd, a, imm)
+  | Isa.Sub (rd, a, b) -> Isa.Sub (w rd, a, b)
+  | Isa.And_ (rd, a, b) -> Isa.And_ (w rd, a, b)
+  | Isa.Or_ (rd, a, b) -> Isa.Or_ (w rd, a, b)
+  | Isa.Xor_ (rd, a, b) -> Isa.Xor_ (w rd, a, b)
+  | Isa.Shl (rd, a, b) -> Isa.Shl (w rd, a, b)
+  | Isa.Shr (rd, a, b) -> Isa.Shr (w rd, a, b)
+  | Isa.Mul (rd, a, b) -> Isa.Mul (w rd, a, b)
+  | Isa.Ld (rd, _, imm) -> Isa.Ld (w rd, 12, addr imm)
+  | Isa.St (_, imm, src) -> Isa.St (12, addr imm, src)
+  | Isa.Ldb (rd, _, imm) -> Isa.Ldb (w rd, 12, addr imm)
+  | Isa.Stb (_, imm, src) -> Isa.Stb (12, addr imm, src)
+  | Isa.Jmp imm -> Isa.Jmp (target imm)
+  | Isa.Jz imm -> Isa.Jz (target imm)
+  | Isa.Jnz imm -> Isa.Jnz (target imm)
+  | Isa.Jlt imm -> Isa.Jlt (target imm)
+  | Isa.Jge imm -> Isa.Jge (target imm)
+  | Isa.Jb imm -> Isa.Jb (target imm)
+  | Isa.Jae imm -> Isa.Jae (target imm)
+  | Isa.Call imm -> Isa.Call (target imm)
+  | Isa.Pop rd -> Isa.Pop (w rd)
+  | Isa.In_ (rd, _) -> Isa.In_ (w rd, 13)
+  | Isa.Ini (rd, imm) -> Isa.Ini (w rd, port imm)
+  | Isa.Out (_, v) -> Isa.Out (13, v)
+  | Isa.Outi (imm, v) -> Isa.Outi (port imm, v)
+  | Isa.Liht _ -> Isa.Liht 11
+  | Isa.Lptb _ -> Isa.Lptb 15
+  | Isa.Lstk (ring, _) -> Isa.Lstk (ring, Isa.sp)
+  | Isa.Copy (_, s, _) -> Isa.Copy (12, range s, 13)
+  | Isa.Csum (rd, a, _) -> Isa.Csum (w rd, range a, 13)
+  | Isa.Rdtsc rd -> Isa.Rdtsc (w rd)
+  | Isa.Nop | Isa.Hlt | Isa.Cmp _ | Isa.Cmpi _ | Isa.Jr _ | Isa.Ret
+  | Isa.Push _ | Isa.Int_ _ | Isa.Iret | Isa.Sti | Isa.Cli | Isa.Tlbflush
+  | Isa.Vmcall _ | Isa.Brk ->
+    instr
+
+(* The program a drawn instruction list runs as. *)
+let diff_program ~origin body =
+  let len = List.length body + 2 in
+  (Isa.Addi (0, 0, 1) :: List.map (mask_instr ~origin ~len) body)
+  @ [ Isa.Hlt ]
+
+let diff_run ~origin program ~jit =
+  let m = Machine.create ~mem_size:(512 * 1024) ~jit () in
+  let mem = Machine.mem m and cpu = Machine.cpu m in
+  let a = Asm.create ~origin () in
+  List.iter (Asm.instr a) program;
+  Machine.boot m (Asm.assemble a) ~entry:origin;
+  let h = Asm.create ~origin:diff_handler () in
+  Asm.movi h 10 (Asm.imm 0x20);
+  Asm.outi h (Asm.imm Machine.Ports.pic) 10 (* non-specific EOI *);
+  Asm.ld h 10 Isa.sp 4;
+  Asm.addi h 10 10 (Asm.imm Isa.width);
+  Asm.st h Isa.sp 4 10;
+  Asm.iret h;
+  Asm.load (Asm.assemble h) mem;
+  for vector = 0 to 63 do
+    write_gate mem ~table:diff_iht ~vector ~handler:diff_handler ~ring:0 ~dpl:3
+  done;
+  build_identity_tables mem ~pd:diff_pd ~pt:(diff_pd + 0x1000) ~mbytes:1
+    ~user:true;
+  let bus = Machine.bus m and pit = Machine.Ports.pit in
+  Io_bus.write bus pit 8;
+  Io_bus.write bus (pit + 1) 0;
+  Io_bus.write bus (pit + 2) 1 (* periodic *);
+  Cpu.set_iht_base cpu diff_iht;
+  for ring = 0 to 3 do
+    Cpu.set_ring_stack cpu ring 0x9000
+  done;
+  List.iter
+    (fun (r, v) -> Cpu.write_reg cpu r v)
+    [
+      (11, diff_iht); (12, diff_data); (13, diff_port); (Isa.sp, 0x8000);
+      (15, diff_pd);
+    ];
+  (try Machine.run_for m ~cycles:30_000L with Cpu.Panic _ -> ());
+  m
+
+let prop_jit_on_off_random =
+  let print (straddle, body) =
+    let origin = diff_origin straddle in
+    String.concat "\n"
+      (Printf.sprintf "origin 0x%x" origin
+      :: List.map Isa.to_string (diff_program ~origin body))
+  in
+  QCheck.Test.make ~name:"translator on/off agree on random programs"
+    ~count:300
+    (QCheck.make ~print
+       ~shrink:QCheck.Shrink.(pair bool list)
+       QCheck.Gen.(pair bool (list_size (int_range 2 40) instr_gen)))
+    (fun (straddle, body) ->
+      let origin = diff_origin straddle in
+      let program = diff_program ~origin body in
+      ignore (check_jit_on_off "random program" (diff_run ~origin program));
+      true)
+
+(* The library reads no environment: [Machine.create] starts the
+   translator on whatever LWVMM_JIT says, and only [~jit:false] turns it
+   off (the variable is read in bin/ and bench/). *)
+let test_machine_jit_parameter () =
+  let saved = Sys.getenv_opt "LWVMM_JIT" in
+  Unix.putenv "LWVMM_JIT" "0";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "LWVMM_JIT" (Option.value saved ~default:""))
+    (fun () ->
+      check bool "default ignores LWVMM_JIT=0" true
+        (Cpu.jit_enabled (Machine.cpu (Machine.create ~mem_size:65536 ())));
+      check bool "~jit:false turns it off" false
+        (Cpu.jit_enabled (Machine.cpu (Machine.create ~mem_size:65536 ~jit:false ()))))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1891,6 +2183,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_mem_rw;
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
+          Alcotest.test_case "write generations" `Quick test_mem_generations;
           Alcotest.test_case "checksum" `Quick test_mem_checksum_matches_rfc;
           Alcotest.test_case "checksum odd" `Quick test_mem_checksum_odd_len;
           Alcotest.test_case "checksum long run" `Quick
@@ -1940,6 +2233,8 @@ let () =
             test_cpu_copy_across_pages;
           Alcotest.test_case "iret with TF" `Quick
             test_cpu_iret_to_ring3_with_pending_step;
+          Alcotest.test_case "irq delivery fault panics" `Quick
+            test_cpu_irq_delivery_fault_panics;
         ] );
       ( "mmu",
         [
@@ -1974,6 +2269,7 @@ let () =
         [
           Alcotest.test_case "tx" `Quick test_nic_tx;
           Alcotest.test_case "wire rate" `Quick test_nic_wire_rate;
+          Alcotest.test_case "in-flight frames" `Quick test_nic_inflight;
           Alcotest.test_case "clear_on_frame" `Quick test_nic_clear_on_frame;
           Alcotest.test_case "rx" `Quick test_nic_rx;
         ] );
@@ -2021,6 +2317,8 @@ let () =
             test_jit_copy_over_own_block;
           Alcotest.test_case "copy/csum fault under lw-vmm" `Quick
             test_jit_copy_csum_fault_lw;
+          Alcotest.test_case "copy/csum at a straddling pc" `Quick
+            test_copy_csum_straddling_pc;
           Alcotest.test_case "copy evicts code tlb" `Quick
             test_jit_copy_evicts_code_tlb;
           Alcotest.test_case "copy refills code tlb" `Quick
@@ -2029,7 +2327,10 @@ let () =
             test_jit_csum_odd_first_chunk;
           Alcotest.test_case "copy forward chunks" `Quick
             test_jit_copy_forward_chunks;
-        ] );
+          Alcotest.test_case "machine jit parameter" `Quick
+            test_machine_jit_parameter;
+        ]
+        @ qsuite [ prop_jit_on_off_random ] );
       ( "properties",
         qsuite [ prop_mmu_probe_agrees_with_translate; prop_disassembly_roundtrip ] );
     ]

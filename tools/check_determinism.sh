@@ -9,6 +9,10 @@
 #   - lib/sim/rng.ml (the sanctioned seeded generator), and
 #   - lines carrying a `determinism-ok` marker with a justification
 #     (host-side wall-clock measurement that never feeds the sim).
+#
+# Also fails on `Sys.getenv` anywhere under lib/: the library reads no
+# environment.  Run-time modes are parameters (`Machine.create ?jit`),
+# and only the executables in bin/ and bench/ read environment variables.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +26,15 @@ if [ -n "$bad" ]; then
   echo "$bad" >&2
   echo "Route randomness through Vmm_sim.Rng and time through the engine," >&2
   echo "or mark a justified host-side use with 'determinism-ok: <why>'." >&2
+  exit 1
+fi
+
+env_reads=$(grep -rn 'Sys\.getenv' lib || true)
+
+if [ -n "$env_reads" ]; then
+  echo "determinism check FAILED — environment read inside the library:" >&2
+  echo "$env_reads" >&2
+  echo "Take the setting as a parameter and read the variable in bin/ or bench/." >&2
   exit 1
 fi
 echo "determinism check passed"
